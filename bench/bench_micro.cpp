@@ -21,6 +21,7 @@
 #include "mtd/spa.hpp"
 #include "mtd/zone_selection.hpp"
 #include "opf/dc_opf.hpp"
+#include "oracles/btheta_dc_opf.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -211,10 +212,12 @@ BENCHMARK(BM_AnalyticDetectionProbability);
 // The candidate sweep below is the inner loop of the MTD selection search
 // (paper problem (4)): every candidate needs the dispatch and the gamma
 // against the attacker matrix. The *Svd variants are the pre-optimization
-// reference (full H rebuild + Bjorck-Golub SVD spa + one simplex solve per
-// candidate); the *Fast variants are the shipped path (SpaEvaluator rank-k
-// updates + DispatchEvaluator merit-order certificate). CI guards the Fast
-// timings against bench/baseline.json and asserts Fast >= 5x Svd.
+// reference (full H rebuild + Bjorck-Golub SVD spa + one B-theta simplex
+// solve per candidate, through the test oracle so the reference work
+// never changes when the shipped LP does); the *Fast variants are the
+// shipped path (SpaEvaluator rank-k updates + DispatchEvaluator). CI
+// normalizes every guarded timing by BM_Case57SelectionLoopSvd, checks
+// them against bench/baseline.json and asserts Fast >= 5x Svd.
 
 std::vector<linalg::Vector> selection_candidates(
     const grid::PowerSystem& sys, int count) {
@@ -242,7 +245,7 @@ void BM_Case57SelectionLoopSvd(benchmark::State& state) {
   for (auto _ : state) {
     double acc = 0.0;
     for (const linalg::Vector& x : candidates) {
-      const opf::DispatchResult d = opf::solve_dc_opf(sys, x);
+      const opf::DispatchResult d = oracles::solve_btheta_dc_opf(sys, x);
       acc += d.feasible ? d.cost : 0.0;
       acc += mtd::spa(h0, grid::measurement_matrix(sys, x));
     }

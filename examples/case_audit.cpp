@@ -16,8 +16,9 @@
 // for the bundled case118/case300 limits.
 //
 // --zones K audits a composed mega-grid (grid::compose_cases /
-// "<base>xN" registry names) zone by zone: the whole-grid dense OPF is
-// O(N^3) and intractable past a few hundred buses, so each of the K
+// "<base>xN" registry names) zone by zone: the whole-grid envelope audit
+// runs dense O(N^3) power flows and is intractable past a few hundred
+// buses, so each of the K
 // copy-zones is audited standalone (base + envelope OPF feasibility)
 // and the stitched per-zone dispatch is then balance-checked on the
 // FULL network through the sparse power flow — the same

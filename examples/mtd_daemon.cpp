@@ -302,8 +302,10 @@ int main(int argc, char** argv) {
     return static_cast<unsigned long long>(
         work[static_cast<std::size_t>(w)]);
   };
-  std::printf("mtd-daemon: engine work: %llu LP solves, %llu simplex "
-              "pivots, %llu MC trials, %llu engine hours\n",
+  std::printf("mtd-daemon: engine work: %llu dispatch certificate hits, "
+              "%llu LP solves, %llu simplex pivots, %llu MC trials, "
+              "%llu engine hours\n",
+              work_of(obs::Work::kDispatchCertificateHits),
               work_of(obs::Work::kSimplexSolves),
               work_of(obs::Work::kSimplexPhase1Iterations) +
                   work_of(obs::Work::kSimplexPhase2Iterations),

@@ -7,8 +7,8 @@
 // Usage: scenario_matrix [--threads N] [case-or-path ...]
 //   With no arguments, prints every file-backed or builtin case in the
 //   registry (case4 through case300). Composed mega-grids ("case118x9",
-//   or any "<case>xN") are skipped by default — the dense OPF + QR this
-//   table runs is not sized for 1000+ buses — but may be requested by
+//   or any "<case>xN") are skipped by default — the dense QR this table
+//   runs is not sized for 1000+ buses — but may be requested by
 //   name. Arguments may be registry names ("case118") or paths to
 //   MATPOWER .m files; an unknown case exits 2 with a usage message.
 //   --threads N sizes the worker pool used by the parallel hot paths

@@ -61,18 +61,12 @@ DcPowerFlowResult solve_dc_power_flow(const PowerSystem& sys,
   return result;
 }
 
-DcPowerFlowResult solve_dc_power_flow_sparse(const PowerSystem& sys,
-                                             const linalg::Vector& x,
-                                             const linalg::Vector& injections_mw,
-                                             double balance_tol) {
+linalg::SparseMatrix reduced_susceptance_sparse(const PowerSystem& sys,
+                                               const linalg::Vector& x) {
+  // Per-branch contributions in branch order, the same accumulation order
+  // as the dense susceptance loop (the TripletBuilder insertion-order
+  // contract). Reduced index = bus-1 because the slack is pinned at bus 0.
   const std::size_t n = sys.num_buses();
-  const linalg::Vector p_reduced =
-      reduced_injections(sys, injections_mw, balance_tol);
-
-  // Reduced susceptance matrix in CSR: per-branch contributions in branch
-  // order, the same accumulation order as the dense susceptance loop
-  // (the TripletBuilder insertion-order contract). Reduced index = bus-1
-  // because the slack is pinned at bus 0.
   const linalg::Vector d = sys.branch_susceptances(x);
   linalg::TripletBuilder builder(n - 1, n - 1);
   builder.reserve(4 * sys.num_branches());
@@ -86,7 +80,18 @@ DcPowerFlowResult solve_dc_power_flow_sparse(const PowerSystem& sys,
       builder.add(j - 1, i - 1, -d[l]);
     }
   }
-  const linalg::SparseCholesky chol(builder.build());
+  return builder.build();
+}
+
+DcPowerFlowResult solve_dc_power_flow_sparse(const PowerSystem& sys,
+                                             const linalg::Vector& x,
+                                             const linalg::Vector& injections_mw,
+                                             double balance_tol) {
+  const std::size_t n = sys.num_buses();
+  const linalg::Vector p_reduced =
+      reduced_injections(sys, injections_mw, balance_tol);
+
+  const linalg::SparseCholesky chol(reduced_susceptance_sparse(sys, x));
   if (chol.failed())
     throw std::runtime_error("power flow: singular susceptance matrix");
 

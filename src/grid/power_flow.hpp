@@ -1,6 +1,7 @@
 #pragma once
 
 #include "grid/power_system.hpp"
+#include "linalg/sparse_matrix.hpp"
 #include "linalg/vector.hpp"
 
 namespace mtdgrid::grid {
@@ -21,6 +22,15 @@ DcPowerFlowResult solve_dc_power_flow(const PowerSystem& sys,
                                       const linalg::Vector& x,
                                       const linalg::Vector& injections_mw,
                                       double balance_tol = 1e-6);
+
+/// Reduced susceptance matrix B_r(x) (slack row/column removed) assembled
+/// directly in CSR, per-branch contributions in branch order. Its pattern
+/// depends only on the topology (explicit zeros are kept), so a
+/// fill-reducing ordering computed once serves every reactance vector.
+/// This is the one assembly behind `solve_dc_power_flow_sparse` and the
+/// PTDF rows of `opf::solve_dc_opf`.
+linalg::SparseMatrix reduced_susceptance_sparse(const PowerSystem& sys,
+                                               const linalg::Vector& x);
 
 /// Sparse-backbone DC power flow (StoragePolicy::kSparse counterpart of
 /// `solve_dc_power_flow`): assembles the reduced susceptance matrix

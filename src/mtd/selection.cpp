@@ -39,8 +39,9 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   constexpr double kInfeasiblePenalty = 1e15;
 
   // Amortized hot-path evaluators: the attacker basis is factorized once
-  // per worker and each candidate costs a rank-k update + one power flow
-  // instead of two SVD-scale factorizations and a simplex solve. One
+  // per worker and each candidate costs a rank-k update plus the dispatch
+  // loop (a power flow, and PTDF LP rounds only under congestion) instead
+  // of two SVD-scale factorizations and a from-scratch dispatch. One
   // evaluator pair per pool worker (SelectionWorkerState), built lazily on
   // first use and SHARED by the corner-scoring and multi-start regions
   // below — the evaluators hold per-sweep factorizations, so sharing one
@@ -56,10 +57,9 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
     local_states.resize(core::worker_state_slots());
   const auto make_state = [&] {
     SelectionWorkerState state;
-    if (options.use_fast_path) {
+    state.dispatch_eval = std::make_unique<opf::DispatchEvaluator>(sys);
+    if (options.use_fast_path)
       state.spa_eval = std::make_unique<SpaEvaluator>(sys, h_attacker);
-      state.dispatch_eval = std::make_unique<opf::DispatchEvaluator>(sys);
-    }
     return state;
   };
 
@@ -70,9 +70,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   const auto objective_with = [&](const SelectionWorkerState& state,
                                   const linalg::Vector& dfacts_x) {
     const linalg::Vector x = opf::expand_dfacts_reactances(sys, dfacts_x);
-    const opf::DispatchResult d = state.dispatch_eval
-                                      ? state.dispatch_eval->evaluate(x)
-                                      : opf::solve_dc_opf(sys, x);
+    const opf::DispatchResult d = state.dispatch_eval->evaluate(x);
     if (!d.feasible) return kInfeasiblePenalty;
     const double gamma =
         state.spa_eval ? state.spa_eval->gamma(x)

@@ -22,8 +22,9 @@ namespace mtdgrid::mtd {
 /// repeated `select_mtd_perturbation` calls with unchanged inputs (see
 /// `MtdSelectionOptions::worker_cache`).
 struct SelectionWorkerState {
-  std::unique_ptr<SpaEvaluator> spa_eval;          ///< rank-k SPA fast path
-  std::unique_ptr<opf::DispatchEvaluator> dispatch_eval;  ///< OPF fast path
+  std::unique_ptr<SpaEvaluator> spa_eval;  ///< rank-k SPA fast path
+  /// The dispatch loop with its candidate-independent set-up done once.
+  std::unique_ptr<opf::DispatchEvaluator> dispatch_eval;
 };
 
 /// Options for the SPA-constrained minimum-cost MTD selection (paper
@@ -42,12 +43,12 @@ struct MtdSelectionOptions {
   /// sweeps, where each point must sit *at* a given gamma; the flat-cost
   /// plateau would otherwise let the optimizer drift to a larger angle.
   bool pin_gamma = false;
-  /// Evaluate candidates through the amortized hot path: incremental
-  /// rank-k SPA updates (`SpaEvaluator`) and the merit-order dispatch
-  /// certificate (`DispatchEvaluator`) instead of a fresh SVD pair and
-  /// simplex solve per candidate (>=5x at 57-bus scale). The objective
-  /// agrees with the reference path to ~1e-12, so this is a speed knob,
-  /// not a quality knob; set false to A/B against the reference path.
+  /// Evaluate candidate gammas through incremental rank-k SPA updates
+  /// (`SpaEvaluator`) instead of a fresh SVD pair per candidate (the
+  /// dispatch always goes through a per-worker `DispatchEvaluator`). The
+  /// objective agrees with the reference path to ~1e-12, so this is a
+  /// speed knob, not a quality knob; set false to A/B against the
+  /// reference path.
   bool use_fast_path = true;
   /// Optional incumbent D-FACTS reactances (one entry per D-FACTS branch,
   /// `dfacts_branches()` order) added to the start portfolio — e.g. the

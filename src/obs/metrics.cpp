@@ -12,6 +12,12 @@ constexpr WorkInfo kWorkInfo[kWorkCount] = {
     {"simplex_phase2_iterations", "Simplex phase-2 (optimality) pivots", true},
     {"simplex_bland_pivots", "Simplex pivots taken under the Bland fallback",
      true},
+    {"dispatch_certificate_hits",
+     "Dispatches accepted at the merit-order fill without an LP solve", true},
+    {"dispatch_flow_rows",
+     "PTDF flow-limit rows (one per violated branch, bounding |f| both "
+     "ways) added by the dispatch constraint generation",
+     true},
     {"cg_solves", "Conjugate-gradient solves started", true},
     {"cg_iterations", "Conjugate-gradient iterations summed over solves",
      true},

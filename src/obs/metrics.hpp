@@ -24,6 +24,10 @@ enum class Work : std::size_t {
   kSimplexPhase1Iterations,  ///< phase-1 (feasibility) pivots
   kSimplexPhase2Iterations,  ///< phase-2 (optimality) pivots
   kSimplexBlandPivots,       ///< pivots taken after the Bland fallback
+  kDispatchCertificateHits,  ///< dispatches accepted at the merit-order
+                             ///< fill (round 0, no LP solved)
+  kDispatchFlowRows,         ///< PTDF flow-limit rows added by the
+                             ///< dispatch's constraint generation
   kCgSolves,                 ///< `linalg::preconditioned_cg` calls
   kCgIterations,             ///< CG iterations summed over solves
   kCgBreakdowns,             ///< CG breakdowns (p'Ap <= 0)

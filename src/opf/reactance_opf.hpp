@@ -16,10 +16,6 @@ struct ReactanceOpfOptions {
   /// `dfacts_branches()` order) used as an extra warm start — e.g. the
   /// previous period's solution when tracking a load trace. Empty = none.
   linalg::Vector warm_start;
-  /// Evaluate candidate dispatches through the amortized
-  /// `DispatchEvaluator` fast path (merit-order certificate + power-flow
-  /// check) instead of one simplex solve per objective evaluation.
-  bool use_fast_path = true;
 };
 
 /// Result of the reactance-augmented OPF.

@@ -18,8 +18,9 @@ inline constexpr double kLpInfinity = std::numeric_limits<double>::infinity();
 ///               lb <= x <= ub          (entries may be +/- infinity)
 ///
 /// This is the workhorse behind the DC optimal power flow: for fixed
-/// branch reactances, problem (1) of the paper is exactly such an LP in
-/// the dispatch and the voltage phase angles.
+/// branch reactances, problem (1) of the paper is such an LP in the
+/// dispatch, with PTDF flow-limit rows added as they bind
+/// (`opf::solve_dc_opf`).
 struct LinearProgram {
   linalg::Vector objective;  ///< cost vector c
   linalg::Matrix eq_matrix;  ///< may have zero rows

@@ -14,6 +14,7 @@
 #include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "obs/prometheus.hpp"
+#include "opf/dc_opf.hpp"
 #include "obs/scope.hpp"
 
 namespace mtdgrid::obs {
@@ -162,6 +163,29 @@ TEST(MetricsTest, RenderWorkCountersEmitsEveryCounter) {
   }
   EXPECT_NE(text.find("mtdgrid_work_simplex_solves_total 2\n"),
             std::string::npos);
+}
+
+TEST(MetricsTest, DispatchCountersTrackCertificateAndFlowRows) {
+  // The nominal case14 merit-order fill overloads some branches: at least
+  // one PTDF row and one LP round, no certificate. With every limit
+  // relaxed tenfold the fill is certified at round 0: no LP, no row.
+  grid::PowerSystem sys = grid::make_case14();
+  MetricsRegistry reg;
+  ScopedRegistry scope(&reg);
+  ASSERT_TRUE(opf::solve_dc_opf(sys).feasible);
+  EXPECT_EQ(reg.value(Work::kDispatchCertificateHits), 0u);
+  EXPECT_GE(reg.value(Work::kDispatchFlowRows), 1u);
+  EXPECT_GE(reg.value(Work::kSimplexSolves), 1u);
+  EXPECT_LE(reg.value(Work::kSimplexSolves),
+            reg.value(Work::kDispatchFlowRows));
+
+  for (std::size_t l = 0; l < sys.num_branches(); ++l)
+    sys.branch(l).flow_limit_mw *= 10.0;
+  reg.reset_work();
+  ASSERT_TRUE(opf::solve_dc_opf(sys).feasible);
+  EXPECT_EQ(reg.value(Work::kDispatchCertificateHits), 1u);
+  EXPECT_EQ(reg.value(Work::kDispatchFlowRows), 0u);
+  EXPECT_EQ(reg.value(Work::kSimplexSolves), 0u);
 }
 
 TEST(MetricsTest, ConcurrentAddsFromPoolWorkersSumExactly) {

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "grid/cases.hpp"
 #include "grid/power_flow.hpp"
+#include "oracles/btheta_dc_opf.hpp"
 #include "stats/rng.hpp"
 
 namespace mtdgrid::opf {
@@ -126,6 +128,23 @@ TEST(DcOpfTest, InfeasibleWhenLineTooSmall) {
   EXPECT_FALSE(solve_dc_opf(sys).feasible);
 }
 
+TEST(DcOpfTest, SingularSusceptanceIsInfeasibleNotAThrow) {
+  // An infinite reactance opens the only line: B_r is singular. A
+  // validated system cannot produce this, but the dispatch must still
+  // answer with a verdict rather than an exception.
+  std::vector<Bus> buses = {{0.0}, {50.0}};
+  std::vector<Branch> branches(1);
+  branches[0] = {.from = 0, .to = 1, .reactance = 0.1,
+                 .flow_limit_mw = 100.0};
+  std::vector<Generator> gens = {
+      {.bus = 0, .min_mw = 0.0, .max_mw = 100.0, .cost_per_mwh = 5.0}};
+  const PowerSystem sys("opened", buses, branches, gens);
+  const linalg::Vector x(1, std::numeric_limits<double>::infinity());
+  DispatchResult r;
+  EXPECT_NO_THROW(r = solve_dc_opf(sys, x));
+  EXPECT_FALSE(r.feasible);
+}
+
 TEST(DcOpfTest, FlowsConsistentWithAngles) {
   const PowerSystem sys = grid::make_case_ieee14();
   const DispatchResult r = solve_dc_opf(sys);
@@ -189,7 +208,7 @@ TEST_P(DispatchEvaluatorProperty, MatchesSimplexAcrossPerturbations) {
     linalg::Vector x = sys.reactances();
     for (std::size_t l : sys.dfacts_branches())
       x[l] = rng.uniform(lo[l], hi[l]);
-    const DispatchResult reference = solve_dc_opf(sys, x);
+    const DispatchResult reference = oracles::solve_btheta_dc_opf(sys, x);
     const DispatchResult fast = evaluator.evaluate(x);
     ASSERT_EQ(fast.feasible, reference.feasible);
     if (reference.feasible) {
@@ -212,7 +231,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DispatchEvaluatorProperty,
 
 TEST(DispatchEvaluatorTest, FallsBackToSimplexUnderCongestion) {
   // Shrink one loaded line's limit so the merit-order dispatch violates it:
-  // the evaluator must fall back to the LP and still match solve_dc_opf.
+  // the evaluator must solve an LP round and still match the B-theta LP.
   PowerSystem sys = grid::make_case14();
   const DispatchResult base = solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);
@@ -223,7 +242,7 @@ TEST(DispatchEvaluatorTest, FallsBackToSimplexUnderCongestion) {
   sys.branch(busiest).flow_limit_mw = 0.9 * std::abs(base.flows_mw[busiest]);
 
   const DispatchEvaluator evaluator(sys);
-  const DispatchResult reference = solve_dc_opf(sys, sys.reactances());
+  const DispatchResult reference = oracles::solve_btheta_dc_opf(sys);
   const DispatchResult fast = evaluator.evaluate(sys.reactances());
   ASSERT_EQ(fast.feasible, reference.feasible);
   if (reference.feasible)
@@ -236,7 +255,7 @@ TEST(DispatchEvaluatorTest, FastPathIsTakenWhenUncongested) {
   const PowerSystem sys = uncongested_two_gen();
   const DispatchEvaluator evaluator(sys);
   const DispatchResult fast = evaluator.evaluate(sys.reactances());
-  const DispatchResult reference = solve_dc_opf(sys);
+  const DispatchResult reference = oracles::solve_btheta_dc_opf(sys);
   ASSERT_TRUE(fast.feasible);
   EXPECT_NEAR(fast.cost, reference.cost, 1e-9 * (1.0 + reference.cost));
   EXPECT_EQ(evaluator.fast_path_hits(), 1u);

@@ -208,6 +208,12 @@ TEST_F(ServeDaemonTest, DefaultMetricsCarryDeterministicEngineCounters) {
   // above contributes its exact trial count.
   EXPECT_GT(engine->find("simplex_solves")->as_number(), 0.0);
   EXPECT_GT(engine->find("simplex_phase2_iterations")->as_number(), 0.0);
+  // The dispatch's constraint generation: the merit-order certificate
+  // holds for most case14 candidates, and every LP round above added at
+  // least one PTDF flow row.
+  EXPECT_GT(engine->find("dispatch_certificate_hits")->as_number(), 0.0);
+  EXPECT_GE(engine->find("dispatch_flow_rows")->as_number(),
+            engine->find("simplex_solves")->as_number());
   EXPECT_GT(engine->find("engine_hours")->as_number(), 0.0);
   EXPECT_GE(engine->find("mc_trials")->as_number(), 50.0);
 }
