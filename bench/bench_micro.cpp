@@ -22,6 +22,7 @@
 #include "mtd/zone_selection.hpp"
 #include "opf/dc_opf.hpp"
 #include "oracles/btheta_dc_opf.hpp"
+#include "oracles/dense_wls.hpp"
 #include "stats/rng.hpp"
 
 namespace {
@@ -107,12 +108,15 @@ void BM_WlsEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_WlsEstimate);
 
-// Dense vs sparse storage policy on the full state-estimation path
-// (estimator construction = Gram + factorization, then one estimate),
-// the work the daily engine redoes at every re-key. range(0): 0 =
-// case118, 1 = case300, 2 = the composed case118x3 tile (the same
-// artifact shape CI's composed-case gate audits). The CI perf gate
-// asserts the sparse case300 variant beats the dense one by >= 3x.
+// Dense oracle vs the production estimator on the full state-estimation
+// path (estimator construction = Gram + factorization, then one
+// estimate), the work the daily engine redoes at every re-key. The Dense
+// rows time the header-only oracle (tests/oracles/dense_wls.hpp: dense
+// hat matrix + dense normal equations), so they keep measuring the same
+// work whatever the library's estimator does. range(0): 0 = case118, 1 =
+// case300, 2 = the composed case118x3 tile (the same artifact shape CI's
+// composed-case gate audits). The CI perf gate asserts the sparse case300
+// variant beats the dense one by >= 3x.
 grid::PowerSystem se_system_for(int id) {
   switch (id) {
     case 0: return grid::make_case118();
@@ -137,7 +141,7 @@ void BM_SparseVsDenseStateEstimationDense(benchmark::State& state) {
   linalg::Vector z(h.rows());
   for (std::size_t i = 0; i < z.size(); ++i) z[i] = rng.gaussian(0.0, 10.0);
   for (auto _ : state) {
-    const estimation::StateEstimator est(h, 1.0);
+    const oracles::DenseStateEstimator est(h, 1.0);
     benchmark::DoNotOptimize(est.estimate(z));
   }
   state.SetLabel(se_system_name(static_cast<int>(state.range(0))));

@@ -4,65 +4,35 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "linalg/least_squares.hpp"
-
 namespace mtdgrid::estimation {
 
 StateEstimator::StateEstimator(linalg::Matrix h, double sigma)
-    : h_(std::move(h)), sigmas_(h_.rows(), sigma) {
-  if (sigma <= 0.0)
-    throw std::invalid_argument("state estimator: sigma must be positive");
-  initialize();
+    : StateEstimator(linalg::SparseMatrix::from_dense(h), sigma) {
+  h_ = std::move(h);
 }
 
 StateEstimator::StateEstimator(linalg::Matrix h, linalg::Vector sigmas)
-    : h_(std::move(h)), sigmas_(std::move(sigmas)) {
-  if (sigmas_.size() != h_.rows())
-    throw std::invalid_argument("state estimator: sigma vector length");
-  validate_sigmas();
-  initialize();
+    : StateEstimator(linalg::SparseMatrix::from_dense(h), std::move(sigmas)) {
+  h_ = std::move(h);
 }
 
 StateEstimator::StateEstimator(linalg::SparseMatrix h, double sigma,
                                const linalg::SolverOptions& options)
-    : storage_(linalg::StoragePolicy::kSparse),
-      sparse_h_(std::make_unique<linalg::SparseMatrix>(std::move(h))),
+    : sparse_h_(std::make_shared<const linalg::SparseMatrix>(std::move(h))),
       sigmas_(sparse_h_->rows(), sigma) {
   if (sigma <= 0.0)
     throw std::invalid_argument("state estimator: sigma must be positive");
-  initialize_sparse(options);
+  initialize(options);
 }
 
 StateEstimator::StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas,
                                const linalg::SolverOptions& options)
-    : storage_(linalg::StoragePolicy::kSparse),
-      sparse_h_(std::make_unique<linalg::SparseMatrix>(std::move(h))),
+    : sparse_h_(std::make_shared<const linalg::SparseMatrix>(std::move(h))),
       sigmas_(std::move(sigmas)) {
   if (sigmas_.size() != sparse_h_->rows())
     throw std::invalid_argument("state estimator: sigma vector length");
   validate_sigmas();
-  initialize_sparse(options);
-}
-
-StateEstimator::StateEstimator(const StateEstimator& other)
-    : storage_(other.storage_),
-      h_(other.h_),
-      solver_options_(other.solver_options_),
-      num_measurements_(other.num_measurements_),
-      state_dimension_(other.state_dimension_),
-      sigmas_(other.sigmas_),
-      weights_(other.weights_),
-      residual_op_(other.residual_op_) {
-  if (other.sparse_h_) {
-    sparse_h_ = std::make_unique<linalg::SparseMatrix>(*other.sparse_h_);
-    solver_.emplace(linalg::LinearOperator(*sparse_h_), weights_,
-                    solver_options_);
-  }
-}
-
-StateEstimator& StateEstimator::operator=(const StateEstimator& other) {
-  if (this != &other) *this = StateEstimator(other);
-  return *this;
+  initialize(options);
 }
 
 void StateEstimator::validate_sigmas() const {
@@ -71,47 +41,26 @@ void StateEstimator::validate_sigmas() const {
       throw std::invalid_argument("state estimator: sigma must be positive");
 }
 
-void StateEstimator::initialize() {
-  if (h_.rows() <= h_.cols())
-    throw std::invalid_argument(
-        "state estimator: needs more measurements than states");
-  num_measurements_ = h_.rows();
-  state_dimension_ = h_.cols();
-  weights_ = linalg::Vector(h_.rows());
-  for (std::size_t i = 0; i < h_.rows(); ++i)
-    weights_[i] = 1.0 / (sigmas_[i] * sigmas_[i]);
-  const linalg::Matrix k = linalg::weighted_hat_matrix(h_, weights_);
-  residual_op_ = linalg::Matrix::identity(h_.rows()) - k;
-}
-
-void StateEstimator::initialize_sparse(const linalg::SolverOptions& options) {
+void StateEstimator::initialize(const linalg::SolverOptions& options) {
   if (sparse_h_->rows() <= sparse_h_->cols())
     throw std::invalid_argument(
         "state estimator: needs more measurements than states");
-  num_measurements_ = sparse_h_->rows();
-  state_dimension_ = sparse_h_->cols();
-  solver_options_ = options;
   weights_ = linalg::Vector(sparse_h_->rows());
   for (std::size_t i = 0; i < sparse_h_->rows(); ++i)
     weights_[i] = 1.0 / (sigmas_[i] * sigmas_[i]);
-  solver_.emplace(linalg::LinearOperator(*sparse_h_), weights_,
-                  solver_options_);
+  solver_.emplace(*sparse_h_, weights_, options);
   if (solver_->failed())
     throw std::runtime_error(
         "state estimator: measurement matrix is rank deficient");
 }
 
 linalg::Vector StateEstimator::estimate(const linalg::Vector& z) const {
-  assert(z.size() == num_measurements_);
-  if (storage_ == linalg::StoragePolicy::kDense)
-    return linalg::solve_weighted_least_squares(h_, weights_, z);
+  assert(z.size() == num_measurements());
   return solver_->solve_least_squares(z);
 }
 
 linalg::Vector StateEstimator::residual(const linalg::Vector& z) const {
-  assert(z.size() == num_measurements_);
-  if (storage_ == linalg::StoragePolicy::kDense) return residual_op_ * z;
-  // Sparse policy: never materialize the M x M residual operator.
+  assert(z.size() == num_measurements());
   return z - (*sparse_h_) * estimate(z);
 }
 

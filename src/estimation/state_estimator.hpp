@@ -16,21 +16,14 @@ namespace mtdgrid::estimation {
 ///
 /// with W = diag(1/sigma_i^2).
 ///
-/// Storage policy (linalg/backend.hpp): the estimator accepts H either
-/// dense or sparse and routes all solves through the policy backend.
-///
-///  * Dense (the default and the bit-exact reference): the residual
-///    operator (I - K) with K = H (H^T W H)^{-1} H^T W is precomputed at
-///    construction so Monte-Carlo detection studies can evaluate
-///    thousands of residuals cheaply; estimates re-solve the historical
-///    dense normal equations. Behavior is bit-identical to the
-///    pre-backend estimator.
-///  * Sparse: the Gram matrix is assembled in CSR and factored once
-///    (minimum-degree sparse Cholesky, or preconditioned CG via
-///    `SolverOptions`); the dense M x M residual operator is never
-///    materialized — residuals are computed as z - H theta_hat. Results
-///    match the dense path to ~1e-12 relative (validated to 1e-10 by the
-///    backend-conformance suite).
+/// H is held in CSR whichever type it arrives as (a dense `Matrix` is
+/// compressed with `SparseMatrix::from_dense`). The Gram matrix is
+/// assembled sparsely and factored once at construction (minimum-degree
+/// sparse Cholesky, or preconditioned CG via `SolverOptions`); residuals
+/// are computed as z - H theta_hat = (I - K) z with
+/// K = H (H^T W H)^{-1} H^T W, so the dense M x M operator I - K is never
+/// materialized. All queries are const and safe to call concurrently on
+/// one estimator.
 class StateEstimator {
  public:
   /// Builds the estimator for measurement matrix `h` (M x n, full column
@@ -40,39 +33,29 @@ class StateEstimator {
   /// Builds the estimator with per-sensor noise standard deviations.
   StateEstimator(linalg::Matrix h, linalg::Vector sigmas);
 
-  /// Sparse-policy estimator with homogeneous noise `sigma`; `options`
-  /// picks the backend method (sparse Cholesky by default, CG as the
-  /// mega-grid escape hatch).
+  /// Builds the estimator from a CSR `h` with homogeneous noise `sigma`;
+  /// `options` picks the solver method (sparse Cholesky by default, CG as
+  /// the mega-grid escape hatch).
   StateEstimator(linalg::SparseMatrix h, double sigma,
                  const linalg::SolverOptions& options = {});
 
-  /// Sparse-policy estimator with per-sensor noise standard deviations.
+  /// CSR `h` with per-sensor noise standard deviations.
   StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas,
                  const linalg::SolverOptions& options = {});
 
-  // Copying re-runs the sparse factorization against the copy's own H
-  // (the backend solver views the estimator-owned matrix); moves keep
-  // the existing factor.
-  StateEstimator(const StateEstimator& other);
-  StateEstimator& operator=(const StateEstimator& other);
-  StateEstimator(StateEstimator&&) = default;
-  StateEstimator& operator=(StateEstimator&&) = default;
-
-  /// The storage policy H was supplied under.
-  linalg::StoragePolicy storage() const { return storage_; }
-
-  /// The dense measurement matrix; requires the dense storage policy.
+  /// The dense measurement matrix a `Matrix` constructor was given; empty
+  /// (0 x 0) after a `SparseMatrix` constructor.
   const linalg::Matrix& h() const { return h_; }
 
-  /// The sparse measurement matrix; requires the sparse storage policy.
+  /// The measurement matrix in CSR, for every constructor.
   const linalg::SparseMatrix& sparse_h() const { return *sparse_h_; }
 
-  std::size_t num_measurements() const { return num_measurements_; }
-  std::size_t state_dimension() const { return state_dimension_; }
+  std::size_t num_measurements() const { return sparse_h_->rows(); }
+  std::size_t state_dimension() const { return sparse_h_->cols(); }
 
   /// Degrees of freedom of the residual: M - n.
   std::size_t residual_dof() const {
-    return num_measurements_ - state_dimension_;
+    return num_measurements() - state_dimension();
   }
 
   /// Per-sensor noise standard deviations.
@@ -96,22 +79,16 @@ class StateEstimator {
   double attack_residual_norm(const linalg::Vector& attack) const;
 
  private:
-  void initialize();
-  void initialize_sparse(const linalg::SolverOptions& options);
+  void initialize(const linalg::SolverOptions& options);
   void validate_sigmas() const;
 
-  linalg::StoragePolicy storage_ = linalg::StoragePolicy::kDense;
   linalg::Matrix h_;
-  // unique_ptr: the backend solver views this matrix, so its address
-  // must survive a move of the estimator.
-  std::unique_ptr<linalg::SparseMatrix> sparse_h_;
-  linalg::SolverOptions solver_options_;
-  std::size_t num_measurements_ = 0;
-  std::size_t state_dimension_ = 0;
+  // Shared and immutable: the solver views this matrix, so its address
+  // must survive moves, and copies of the estimator share it together
+  // with the factor.
+  std::shared_ptr<const linalg::SparseMatrix> sparse_h_;
   linalg::Vector sigmas_;
-  linalg::Vector weights_;          // 1 / sigma_i^2
-  linalg::Matrix residual_op_;      // I - K (dense policy only)
-  // Sparse policy: the factored normal-equations backend.
+  linalg::Vector weights_;  // 1 / sigma_i^2
   std::optional<linalg::NormalEquationsSolver> solver_;
 };
 

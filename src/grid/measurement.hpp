@@ -31,9 +31,9 @@ linalg::Matrix measurement_matrix(const PowerSystem& sys,
 linalg::Matrix measurement_matrix(const PowerSystem& sys);
 
 /// Builds H for reactances `x` directly in CSR, without a dense
-/// intermediate — the `StoragePolicy::kSparse` entry point of the
-/// measurement model. H has ~2 entries per flow row and (degree+1) per
-/// injection row, so nnz is O(L + N) against the dense M x (N-1) block.
+/// intermediate — the storage `estimation::StateEstimator` works in. H
+/// has ~2 entries per flow row and (degree+1) per injection row, so nnz
+/// is O(L + N) against the dense M x (N-1) block.
 /// Values are bit-identical to `measurement_matrix`: each injection entry
 /// accumulates its per-branch susceptance contributions in branch order,
 /// the same order the dense susceptance-matrix loop uses.

@@ -32,7 +32,7 @@ DcPowerFlowResult solve_dc_power_flow(const PowerSystem& sys,
 linalg::SparseMatrix reduced_susceptance_sparse(const PowerSystem& sys,
                                                const linalg::Vector& x);
 
-/// Sparse-backbone DC power flow (StoragePolicy::kSparse counterpart of
+/// Sparse-backbone DC power flow (CSR counterpart of the dense-LU
 /// `solve_dc_power_flow`): assembles the reduced susceptance matrix
 /// directly in CSR (TripletBuilder, branch assembly order) and solves it
 /// with the minimum-degree-ordered sparse Cholesky — B_r is symmetric

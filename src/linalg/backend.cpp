@@ -2,82 +2,45 @@
 
 #include <cassert>
 #include <stdexcept>
-
-#include "linalg/least_squares.hpp"
+#include <string>
 
 namespace mtdgrid::linalg {
 
-std::size_t LinearOperator::rows() const {
-  return storage_ == StoragePolicy::kDense ? dense_->rows() : sparse_->rows();
-}
-
-std::size_t LinearOperator::cols() const {
-  return storage_ == StoragePolicy::kDense ? dense_->cols() : sparse_->cols();
-}
-
-Vector LinearOperator::apply(const Vector& x) const {
-  return storage_ == StoragePolicy::kDense ? (*dense_) * x : (*sparse_) * x;
-}
-
-Vector LinearOperator::apply_transpose(const Vector& x) const {
-  return storage_ == StoragePolicy::kDense ? dense_->transpose_times(x)
-                                           : sparse_->transpose_times(x);
-}
-
-const Matrix& LinearOperator::dense() const {
-  assert(storage_ == StoragePolicy::kDense);
-  return *dense_;
-}
-
-const SparseMatrix& LinearOperator::sparse() const {
-  assert(storage_ == StoragePolicy::kSparse);
-  return *sparse_;
-}
-
-NormalEquationsSolver::NormalEquationsSolver(const LinearOperator& a,
-                                            const Vector& weights,
-                                            const SolverOptions& options)
-    : a_(a), weights_(weights), options_(options) {
-  assert(weights_.size() == a_.rows());
-  if (a_.storage() == StoragePolicy::kDense) {
-    // The reference path: identical accumulation order and factorization
-    // to the historical dense code, so results stay bit-exact. CG is a
-    // sparse-policy escape hatch, not a dense option.
-    dense_chol_.emplace(weighted_gram(a_.dense(), weights_));
-    failed_ = dense_chol_->failed();
-    return;
-  }
-  sparse_gram_ = a_.sparse().weighted_gram(weights_);
+NormalEquationsSolver::NormalEquationsSolver(const SparseMatrix& a,
+                                             const Vector& weights,
+                                             const SolverOptions& options)
+    : a_(&a), weights_(weights), options_(options) {
+  assert(weights_.size() == a.rows());
+  SparseMatrix gram = a.weighted_gram(weights_);
   if (options_.method == SolverOptions::Method::kCholesky) {
-    sparse_chol_.emplace(sparse_gram_);
-    failed_ = sparse_chol_->failed();
+    chol_.emplace(gram);
+    failed_ = chol_->failed();
     return;
   }
   if (options_.preconditioner ==
       SolverOptions::Preconditioner::kIncompleteCholesky) {
-    auto ic = std::make_unique<IncompleteCholeskyPreconditioner>(sparse_gram_);
+    auto ic = std::make_unique<IncompleteCholeskyPreconditioner>(gram);
     if (!ic->failed()) preconditioner_ = std::move(ic);
   }
   if (!preconditioner_) {
     try {
-      preconditioner_ = std::make_unique<JacobiPreconditioner>(sparse_gram_);
+      preconditioner_ = std::make_unique<JacobiPreconditioner>(gram);
     } catch (const std::runtime_error&) {
       failed_ = true;  // Gram diagonal not positive: A is rank deficient
     }
   }
+  gram_ = std::move(gram);
 }
 
 Vector NormalEquationsSolver::solve(const Vector& rhs) const {
   if (failed_)
     throw std::runtime_error(
         "normal equations solver: matrix not positive definite");
-  if (a_.storage() == StoragePolicy::kDense) return dense_chol_->solve(rhs);
-  if (sparse_chol_) return sparse_chol_->solve(rhs);
+  if (chol_) return chol_->solve(rhs);
   CgOptions cg;
   cg.tolerance = options_.cg_tolerance;
   cg.max_iterations = options_.cg_max_iterations;
-  const CgResult result =
-      preconditioned_cg(sparse_gram_, rhs, *preconditioner_, cg);
+  const CgResult result = preconditioned_cg(gram_, rhs, *preconditioner_, cg);
   if (!result.converged)
     throw std::runtime_error(
         "normal equations solver: conjugate gradient did not converge "
@@ -88,38 +51,16 @@ Vector NormalEquationsSolver::solve(const Vector& rhs) const {
 }
 
 Vector NormalEquationsSolver::solve_least_squares(const Vector& b) const {
-  assert(b.size() == a_.rows());
-  Vector rhs(a_.cols());
-  if (a_.storage() == StoragePolicy::kDense) {
-    // Same moment-vector loop as the historical dense solver (bit-exact).
-    const Matrix& a = a_.dense();
-    for (std::size_t k = 0; k < a.rows(); ++k) {
-      const double wb = weights_[k] * b[k];
-      if (wb == 0.0) continue;
-      for (std::size_t j = 0; j < a.cols(); ++j) rhs[j] += a(k, j) * wb;
-    }
-  } else {
-    const SparseMatrix& a = a_.sparse();
-    for (std::size_t k = 0; k < a.rows(); ++k) {
-      const double wb = weights_[k] * b[k];
-      if (wb == 0.0) continue;
-      for (std::size_t p = a.row_ptr()[k]; p < a.row_ptr()[k + 1]; ++p)
-        rhs[a.col_idx()[p]] += a.values()[p] * wb;
-    }
+  const SparseMatrix& a = *a_;
+  assert(b.size() == a.rows());
+  Vector rhs(a.cols());
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    const double wb = weights_[k] * b[k];
+    if (wb == 0.0) continue;
+    for (std::size_t p = a.row_ptr()[k]; p < a.row_ptr()[k + 1]; ++p)
+      rhs[a.col_idx()[p]] += a.values()[p] * wb;
   }
   return solve(rhs);
-}
-
-Vector solve_weighted_least_squares(const LinearOperator& a,
-                                    const Vector& weights, const Vector& b,
-                                    const SolverOptions& options) {
-  assert(a.rows() == weights.size() && a.rows() == b.size());
-  const NormalEquationsSolver solver(a, weights, options);
-  if (solver.failed())
-    throw std::runtime_error(
-        "weighted least squares: normal equations not positive definite "
-        "(rank-deficient matrix or non-positive weights)");
-  return solver.solve_least_squares(b);
 }
 
 }  // namespace mtdgrid::linalg

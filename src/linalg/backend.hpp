@@ -5,32 +5,19 @@
 #include <optional>
 
 #include "linalg/cg.hpp"
-#include "linalg/cholesky.hpp"
-#include "linalg/matrix.hpp"
 #include "linalg/sparse_cholesky.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/vector.hpp"
 
 namespace mtdgrid::linalg {
 
-/// How a matrix is stored — the policy knob of the linalg backend
-/// (DESIGN.md "Storage policy & sparse backbone"). Callers pick a policy
-/// by the matrix type they hand to `LinearOperator`; every solver below
-/// then routes to the matching kernel without the caller naming one.
-enum class StoragePolicy {
-  kDense,   ///< row-major `Matrix` — the bit-exact reference path
-  kSparse,  ///< CSR `SparseMatrix` — the scale path
-};
-
-/// Options of `NormalEquationsSolver` (and the policy-aware free-function
-/// solvers): which factorization/iteration answers `solve`, and how CG is
-/// preconditioned. The defaults reproduce the historical behavior: direct
-/// Cholesky, dense bit-identical to the pre-backend code.
+/// Options of `NormalEquationsSolver`: which factorization/iteration
+/// answers `solve`, and how CG is preconditioned. The defaults (direct
+/// sparse Cholesky) are what every production caller uses.
 struct SolverOptions {
   enum class Method {
     kCholesky,           ///< direct: factor A^T W A once, then solve
     kConjugateGradient,  ///< iterative: the mega-grid escape hatch
-                         ///< (sparse policy only)
   };
   enum class Preconditioner {
     kJacobi,              ///< diagonal scaling — cannot break down
@@ -44,71 +31,26 @@ struct SolverOptions {
   std::size_t cg_max_iterations = 0;  ///< 0 = 4n
 };
 
-/// A non-owning view of a matrix under either storage policy: the "name
-/// the operation, not the storage" boundary of the backend API. Implicit
-/// construction from `Matrix` or `SparseMatrix` lets one signature serve
-/// both worlds; the referenced matrix must outlive the view (and any
-/// solver built on it).
-class LinearOperator {
- public:
-  /*implicit*/ LinearOperator(const Matrix& dense)
-      : storage_(StoragePolicy::kDense), dense_(&dense) {}
-  /*implicit*/ LinearOperator(const SparseMatrix& sparse)
-      : storage_(StoragePolicy::kSparse), sparse_(&sparse) {}
-
-  StoragePolicy storage() const { return storage_; }
-  std::size_t rows() const;
-  std::size_t cols() const;
-
-  /// y = A x.
-  Vector apply(const Vector& x) const;
-
-  /// y = A^T x.
-  Vector apply_transpose(const Vector& x) const;
-
-  /// The dense operand; requires `storage() == kDense`.
-  const Matrix& dense() const;
-
-  /// The sparse operand; requires `storage() == kSparse`.
-  const SparseMatrix& sparse() const;
-
- private:
-  StoragePolicy storage_;
-  const Matrix* dense_ = nullptr;
-  const SparseMatrix* sparse_ = nullptr;
-};
-
-/// The backend solver for weighted normal equations (A^T W A) x = rhs —
-/// the kernel of WLS state estimation. Factors once at construction
-/// (Cholesky method) or sets up a preconditioner (CG method), then
-/// serves any number of `solve`/`solve_least_squares` calls.
+/// The solver for weighted normal equations (A^T W A) x = rhs over a CSR
+/// matrix A — the kernel of WLS state estimation. The Gram matrix is
+/// assembled sparsely (O(sum of row nnz^2)) at construction and either
+/// factored once by `SparseCholesky` under a minimum-degree ordering, or
+/// solved iteratively by preconditioned CG; any number of
+/// `solve`/`solve_least_squares` calls follow. Both are const and keep no
+/// scratch state, so one solver may serve concurrent callers.
 ///
-/// Storage policy routing:
-///  * kDense — the Gram matrix is accumulated by the exact historical
-///    `weighted_gram` loop and factored with the dense
-///    `CholeskyDecomposition`; results are bit-identical to the
-///    pre-backend `solve_weighted_least_squares`. CG is not offered on
-///    the dense path (it would be slower and is not the reference).
-///  * kSparse — the Gram matrix is assembled sparsely (O(sum of row
-///    nnz^2)) and either factored by `SparseCholesky` under a
-///    minimum-degree ordering, or solved iteratively by preconditioned
-///    CG.
-///
-/// Lifetime: keeps the `LinearOperator` view, so the operand matrix must
-/// outlive the solver. Failure (rank-deficient A, non-positive weights)
-/// is reported through `failed()`; `solve*` on a failed solver throws.
+/// Lifetime: keeps a pointer to `a`, so the matrix must outlive the
+/// solver. Failure (rank-deficient A, non-positive weights) is reported
+/// through `failed()`; `solve*` on a failed solver throws.
 class NormalEquationsSolver {
  public:
-  NormalEquationsSolver(const LinearOperator& a, const Vector& weights,
+  NormalEquationsSolver(const SparseMatrix& a, const Vector& weights,
                         const SolverOptions& options = {});
 
   /// True when the normal equations were found not positive definite
   /// (Cholesky) or no usable preconditioner exists (CG on a Gram matrix
   /// with a non-positive diagonal).
   bool failed() const { return failed_; }
-
-  StoragePolicy storage() const { return a_.storage(); }
-  const SolverOptions& options() const { return options_; }
 
   /// Solves (A^T W A) x = rhs. Requires `!failed()`; the CG method
   /// throws std::runtime_error if it fails to converge within the cap.
@@ -118,26 +60,15 @@ class NormalEquationsSolver {
   Vector solve_least_squares(const Vector& b) const;
 
  private:
-  LinearOperator a_;
+  const SparseMatrix* a_;
   Vector weights_;
   SolverOptions options_;
   bool failed_ = false;
 
-  // kDense state.
-  std::optional<CholeskyDecomposition> dense_chol_;
-  // kSparse state.
-  SparseMatrix sparse_gram_;
-  std::optional<SparseCholesky> sparse_chol_;
-  std::unique_ptr<Preconditioner> preconditioner_;
+  std::optional<SparseCholesky> chol_;
+  // CG state: the Gram matrix the iteration multiplies by.
+  SparseMatrix gram_;
+  std::shared_ptr<const Preconditioner> preconditioner_;
 };
-
-/// Policy-aware weighted least squares: `min_x || W^{1/2} (A x - b) ||`
-/// for a dense or sparse A. The dense policy with default options is
-/// bit-identical to the historical dense overload in least_squares.hpp
-/// (which now simply forwards here). Throws std::runtime_error when the
-/// normal equations are not positive definite.
-Vector solve_weighted_least_squares(const LinearOperator& a,
-                                    const Vector& weights, const Vector& b,
-                                    const SolverOptions& options = {});
 
 }  // namespace mtdgrid::linalg

@@ -36,7 +36,7 @@ class JacobiPreconditioner : public Preconditioner {
 /// stronger than Jacobi on the diagonally dominant Gram matrices of the
 /// DC measurement model; can break down (non-positive pivot) on general
 /// SPD input, reported through `failed()` — callers then fall back to
-/// Jacobi (see `NormalEquationsSolver`).
+/// Jacobi (see `NormalEquationsSolver`'s CG method).
 class IncompleteCholeskyPreconditioner : public Preconditioner {
  public:
   /// `a` must be square and symmetric with both triangles stored.

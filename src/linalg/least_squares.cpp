@@ -3,7 +3,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "linalg/backend.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/qr.hpp"
 
@@ -30,33 +29,23 @@ Matrix weighted_gram(const Matrix& a, const Vector& weights) {
 Vector solve_weighted_least_squares(const Matrix& a, const Vector& weights,
                                     const Vector& b) {
   assert(a.rows() == weights.size() && a.rows() == b.size());
-  return solve_weighted_least_squares(LinearOperator(a), weights, b);
+  const CholeskyDecomposition chol(weighted_gram(a, weights));
+  if (chol.failed())
+    throw std::runtime_error(
+        "weighted least squares: normal equations not positive definite "
+        "(rank-deficient matrix or non-positive weights)");
+  Vector rhs(a.cols());
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    const double wb = weights[k] * b[k];
+    if (wb == 0.0) continue;
+    for (std::size_t j = 0; j < a.cols(); ++j) rhs[j] += a(k, j) * wb;
+  }
+  return chol.solve(rhs);
 }
 
 Vector solve_least_squares(const Matrix& a, const Vector& b) {
   QrDecomposition qr(a);
   return qr.solve_least_squares(b);
-}
-
-Matrix weighted_hat_matrix(const Matrix& a, const Vector& weights) {
-  assert(a.rows() == weights.size());
-  const Matrix gram = weighted_gram(a, weights);
-  CholeskyDecomposition chol(gram);
-  if (chol.failed())
-    throw std::runtime_error("weighted hat matrix: rank-deficient matrix");
-
-  // K = A G^{-1} A^T W, built column by column: K e_j = A G^{-1} A^T W e_j.
-  const std::size_t m = a.rows();
-  Matrix k(m, m);
-  for (std::size_t j = 0; j < m; ++j) {
-    if (weights[j] == 0.0) continue;
-    Vector atw(a.cols());
-    for (std::size_t c = 0; c < a.cols(); ++c) atw[c] = a(j, c) * weights[j];
-    const Vector x = chol.solve(atw);
-    const Vector column = a * x;
-    k.set_col(j, column);
-  }
-  return k;
 }
 
 }  // namespace mtdgrid::linalg

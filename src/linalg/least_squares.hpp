@@ -7,31 +7,23 @@ namespace mtdgrid::linalg {
 
 /// The weighted Gram matrix `A^T W A` of the normal equations, accumulated
 /// in the library's reference order (row-major scan, zero contributions
-/// skipped). This exact loop is the dense bit-exactness anchor: both the
-/// dense `NormalEquationsSolver` backend (linalg/backend.hpp) and
-/// `weighted_hat_matrix` build their Gram matrices through it.
+/// skipped). This exact loop is the dense bit-exactness anchor of
+/// `solve_weighted_least_squares`.
 Matrix weighted_gram(const Matrix& a, const Vector& weights);
 
-/// Weighted least-squares solver for `min_x || W^{1/2} (A x - b) ||`.
+/// Dense weighted least-squares solver for `min_x || W^{1/2} (A x - b) ||`.
 ///
 /// `weights` holds the diagonal of W (one non-negative weight per row of A;
 /// in state estimation these are reciprocal noise variances). Solves the
-/// normal equations with a Cholesky factorization; requires A to have full
-/// column rank. Throws std::runtime_error otherwise.
-///
-/// This is the dense storage policy of the backend API: it forwards to
-/// `solve_weighted_least_squares(LinearOperator, ...)` in
-/// linalg/backend.hpp, which also accepts a `SparseMatrix`.
+/// normal equations with a dense Cholesky factorization; requires A to
+/// have full column rank. Throws std::runtime_error otherwise. The state
+/// estimator solves the same equations over CSR storage through
+/// `NormalEquationsSolver` (linalg/backend.hpp).
 Vector solve_weighted_least_squares(const Matrix& a, const Vector& weights,
                                     const Vector& b);
 
 /// Ordinary least squares `min_x ||A x - b||` via Householder QR.
 /// Requires A to have full column rank. Throws std::runtime_error otherwise.
 Vector solve_least_squares(const Matrix& a, const Vector& b);
-
-/// The weighted-projection "hat" matrix  K = A (A^T W A)^{-1} A^T W.
-/// The state-estimation residual operator is (I - K); the paper's
-/// Appendix A writes it as Gamma'. Requires full column rank.
-Matrix weighted_hat_matrix(const Matrix& a, const Vector& weights);
 
 }  // namespace mtdgrid::linalg

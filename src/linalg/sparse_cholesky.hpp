@@ -24,8 +24,10 @@ namespace mtdgrid::linalg {
 std::vector<std::size_t> minimum_degree_ordering(const SparseMatrix& a);
 
 /// Sparse Cholesky factorization `P A P^T = L L^T` of a symmetric
-/// positive-definite matrix, the direct backend behind
-/// `NormalEquationsSolver` for `StoragePolicy::kSparse`.
+/// positive-definite matrix, the direct method of `NormalEquationsSolver`
+/// (and so of every state estimate) and the B_r solver of the power flow.
+/// `solve` is const and allocates its own workspace, so concurrent
+/// callers may share one factor.
 ///
 /// The factorization is simplicial up-looking (CSparse-style): an
 /// elimination tree drives the symbolic pattern of each row of L, and a

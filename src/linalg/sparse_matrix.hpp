@@ -22,8 +22,8 @@ struct CscView {
 };
 
 /// Compressed-sparse-row (CSR) real matrix with value semantics — the
-/// storage behind the `StoragePolicy::kSparse` side of the linalg backend
-/// (DESIGN.md "Storage policy & sparse backbone").
+/// storage of the measurement matrix in WLS state estimation and of B_r in
+/// the power flow (DESIGN.md "Storage policy & sparse backbone").
 ///
 /// Rows are stored back to back: row i occupies entry range
 /// [row_ptr()[i], row_ptr()[i+1]) of col_idx()/values(), with column

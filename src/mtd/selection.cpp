@@ -58,8 +58,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   const auto make_state = [&] {
     SelectionWorkerState state;
     state.dispatch_eval = std::make_unique<opf::DispatchEvaluator>(sys);
-    if (options.use_fast_path)
-      state.spa_eval = std::make_unique<SpaEvaluator>(sys, h_attacker);
+    state.spa_eval = std::make_unique<SpaEvaluator>(sys, h_attacker);
     return state;
   };
 
@@ -72,9 +71,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
     const linalg::Vector x = opf::expand_dfacts_reactances(sys, dfacts_x);
     const opf::DispatchResult d = state.dispatch_eval->evaluate(x);
     if (!d.feasible) return kInfeasiblePenalty;
-    const double gamma =
-        state.spa_eval ? state.spa_eval->gamma(x)
-                       : spa(h_attacker, grid::measurement_matrix(sys, x));
+    const double gamma = state.spa_eval->gamma(x);
     const double deficit =
         options.pin_gamma ? std::abs(options.gamma_threshold - gamma)
                           : std::max(0.0, options.gamma_threshold - gamma);

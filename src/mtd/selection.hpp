@@ -43,22 +43,15 @@ struct MtdSelectionOptions {
   /// sweeps, where each point must sit *at* a given gamma; the flat-cost
   /// plateau would otherwise let the optimizer drift to a larger angle.
   bool pin_gamma = false;
-  /// Evaluate candidate gammas through incremental rank-k SPA updates
-  /// (`SpaEvaluator`) instead of a fresh SVD pair per candidate (the
-  /// dispatch always goes through a per-worker `DispatchEvaluator`). The
-  /// objective agrees with the reference path to ~1e-12, so this is a
-  /// speed knob, not a quality knob; set false to A/B against the
-  /// reference path.
-  bool use_fast_path = true;
   /// Optional incumbent D-FACTS reactances (one entry per D-FACTS branch,
   /// `dfacts_branches()` order) added to the start portfolio — e.g. the
   /// previous hour's perturbation in the daily loop. Empty = none.
   linalg::Vector warm_start;
   /// Optional caller-owned per-worker evaluator cache, reused across
   /// consecutive `select_mtd_perturbation` calls whose (system, loads,
-  /// `h_attacker`, `use_fast_path`) are all unchanged — the daily loop's
-  /// gamma-grid retries within one hour, the daemon's request-scoped
-  /// re-keying. The caller must `invalidate()` the cache whenever any of
+  /// `h_attacker`) are all unchanged — the daily loop's gamma-grid
+  /// retries within one hour, the daemon's request-scoped re-keying.
+  /// The caller must `invalidate()` the cache whenever any of
   /// those inputs changes. States are interchangeable (deterministic
   /// construction), so caching is a pure speed knob: results are
   /// bit-identical with or without it. nullptr (default) builds per-call

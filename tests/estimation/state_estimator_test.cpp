@@ -4,6 +4,7 @@
 
 #include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "oracles/dense_wls.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
 
@@ -101,39 +102,39 @@ TEST(StateEstimatorTest, AttackResidualNormBounds) {
   }
 }
 
-// --- sparse storage policy ----------------------------------------------
-
-TEST(StateEstimatorSparseTest, ReportsStoragePolicy) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
-  const StateEstimator dense(grid::measurement_matrix(sys), 1.0);
-  const StateEstimator sparse(grid::sparse_measurement_matrix(sys), 1.0);
-  EXPECT_EQ(dense.storage(), linalg::StoragePolicy::kDense);
-  EXPECT_EQ(sparse.storage(), linalg::StoragePolicy::kSparse);
-  EXPECT_EQ(sparse.num_measurements(), dense.num_measurements());
-  EXPECT_EQ(sparse.state_dimension(), dense.state_dimension());
-  EXPECT_EQ(sparse.residual_dof(), dense.residual_dof());
-  EXPECT_EQ(linalg::max_abs_diff(sparse.sparse_h().to_dense(), dense.h()),
-            0.0);
-}
+// --- CSR H and the Matrix constructors against the dense oracle ---------
 
 TEST(StateEstimatorSparseTest, AgreesWithDenseOnCase14) {
   const grid::PowerSystem sys = grid::make_case_ieee14();
   const linalg::Matrix h = grid::measurement_matrix(sys);
   const double sigma = 0.6;
-  const StateEstimator dense(h, sigma);
+  const oracles::DenseStateEstimator dense(h, sigma);
+  const StateEstimator from_matrix(h, sigma);
   const StateEstimator sparse(grid::sparse_measurement_matrix(sys), sigma);
+
+  // Both constructors hold the same CSR H; only the Matrix one keeps the
+  // dense copy for h().
+  for (const StateEstimator* est : {&from_matrix, &sparse}) {
+    EXPECT_EQ(est->num_measurements(), dense.num_measurements());
+    EXPECT_EQ(est->state_dimension(), dense.state_dimension());
+    EXPECT_EQ(est->residual_dof(), dense.residual_dof());
+    EXPECT_EQ(linalg::max_abs_diff(est->sparse_h().to_dense(), h), 0.0);
+  }
+  EXPECT_EQ(linalg::max_abs_diff(from_matrix.h(), h), 0.0);
 
   stats::Rng rng(20);
   for (int trial = 0; trial < 5; ++trial) {
     const linalg::Vector theta = test::random_vector(h.cols(), rng, 0.1);
     linalg::Vector z = h * theta;
     for (std::size_t i = 0; i < z.size(); ++i) z[i] += rng.gaussian(0, sigma);
-    EXPECT_LT(linalg::max_abs_diff(sparse.estimate(z), dense.estimate(z)),
-              1e-10);
-    EXPECT_LT(linalg::max_abs_diff(sparse.residual(z), dense.residual(z)),
-              1e-10);
-    EXPECT_NEAR(sparse.normalized_residual_norm(z),
-                dense.normalized_residual_norm(z), 1e-9);
+    for (const StateEstimator* est : {&from_matrix, &sparse}) {
+      EXPECT_LT(linalg::max_abs_diff(est->estimate(z), dense.estimate(z)),
+                1e-10);
+      EXPECT_LT(linalg::max_abs_diff(est->residual(z), dense.residual(z)),
+                1e-10);
+      EXPECT_NEAR(est->normalized_residual_norm(z),
+                  dense.normalized_residual_norm(z), 1e-9);
+    }
   }
 }
 
@@ -142,7 +143,7 @@ TEST(StateEstimatorSparseTest, ConjugateGradientOptionAgreesToo) {
   const linalg::Matrix h = grid::measurement_matrix(sys);
   linalg::SolverOptions options;
   options.method = linalg::SolverOptions::Method::kConjugateGradient;
-  const StateEstimator dense(h, 1.0);
+  const oracles::DenseStateEstimator dense(h, 1.0);
   const StateEstimator cg(grid::sparse_measurement_matrix(sys), 1.0,
                           options);
   stats::Rng rng(21);
@@ -157,10 +158,13 @@ TEST(StateEstimatorSparseTest, PerSensorSigmasSupported) {
   linalg::Vector sigmas(h.rows());
   for (std::size_t i = 0; i < sigmas.size(); ++i)
     sigmas[i] = rng.uniform(0.2, 2.0);
-  const StateEstimator dense(h, sigmas);
+  const oracles::DenseStateEstimator dense(h, sigmas);
+  const StateEstimator from_matrix(h, sigmas);
   const StateEstimator sparse(grid::sparse_measurement_matrix(sys), sigmas);
   const linalg::Vector z = test::random_vector(h.rows(), rng);
   EXPECT_LT(linalg::max_abs_diff(sparse.estimate(z), dense.estimate(z)),
+            1e-10);
+  EXPECT_LT(linalg::max_abs_diff(from_matrix.estimate(z), dense.estimate(z)),
             1e-10);
 }
 
@@ -173,14 +177,14 @@ TEST(StateEstimatorSparseTest, CopyAndMoveKeepTheFactorization) {
   StateEstimator original(grid::sparse_measurement_matrix(sys), 1.0);
   const linalg::Vector expected = original.estimate(z);
 
-  // Copy: re-factorizes against the copy's own matrix.
+  // Copy: shares the immutable H and its factor.
   const StateEstimator copy(original);
   EXPECT_EQ(linalg::max_abs_diff(copy.estimate(z), expected), 0.0);
 
-  // Copy-assign over a dense estimator.
+  // Copy-assign over an estimator built from a dense Matrix.
   StateEstimator assigned(h, 1.0);
   assigned = original;
-  EXPECT_EQ(assigned.storage(), linalg::StoragePolicy::kSparse);
+  EXPECT_EQ(assigned.h().rows(), 0u);
   EXPECT_EQ(linalg::max_abs_diff(assigned.estimate(z), expected), 0.0);
 
   // Move: the factor survives (the solver views heap-held storage).
@@ -196,7 +200,7 @@ TEST(StateEstimatorSparseTest, RejectsInvalidConstruction) {
                std::invalid_argument);
 
   // Rank-deficient sparse H (duplicate columns) must be rejected at
-  // construction, like the dense policy's Cholesky failure.
+  // construction.
   linalg::TripletBuilder builder(5, 2);
   for (std::size_t i = 0; i < 5; ++i) {
     builder.add(i, 0, static_cast<double>(i + 1));
@@ -214,6 +218,10 @@ TEST(StateEstimatorTest, RejectsInvalidConstruction) {
   // Underdetermined: fewer measurements than states.
   EXPECT_THROW(StateEstimator(linalg::Matrix(3, 5), 1.0),
                std::invalid_argument);
+  // Rank deficient: a zero column leaves H^T W H singular.
+  linalg::Matrix deficient = h;
+  for (std::size_t i = 0; i < deficient.rows(); ++i) deficient(i, 0) = 0.0;
+  EXPECT_THROW(StateEstimator(deficient, 1.0), std::runtime_error);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "linalg/cholesky.hpp"
 #include "linalg/least_squares.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
@@ -14,10 +15,11 @@
 namespace mtdgrid::linalg {
 namespace {
 
-// Backend-conformance suite: the same solve / factorize / least-squares
-// contracts exercised against BOTH storage policies, plus the cross-policy
-// agreement bounds of the PR acceptance criteria (dense vs sparse WLS to
-// <= 1e-10 on the bundled IEEE cases).
+// Backend-conformance suite: the CSR `NormalEquationsSolver` (sparse
+// Cholesky and both CG variants) against the dense reference — the dense
+// `solve_weighted_least_squares` and a dense Cholesky of `weighted_gram` —
+// plus the dense-vs-sparse WLS agreement bound (<= 1e-10 on the bundled
+// IEEE cases).
 
 Vector unit_weights(std::size_t m) { return Vector(m, 1.0); }
 
@@ -27,46 +29,16 @@ Vector random_weights(std::size_t m, stats::Rng& rng) {
   return w;
 }
 
-// --- LinearOperator -----------------------------------------------------
+// --- shared conformance against the dense reference ---------------------
 
-TEST(LinearOperatorTest, ReportsStorageAndDimensions) {
-  stats::Rng rng(61);
-  const Matrix d = test::random_matrix(6, 4, rng);
-  const SparseMatrix s = SparseMatrix::from_dense(d);
-  const LinearOperator dense_op(d);
-  const LinearOperator sparse_op(s);
-  EXPECT_EQ(dense_op.storage(), StoragePolicy::kDense);
-  EXPECT_EQ(sparse_op.storage(), StoragePolicy::kSparse);
-  for (const LinearOperator& op : {dense_op, sparse_op}) {
-    EXPECT_EQ(op.rows(), 6u);
-    EXPECT_EQ(op.cols(), 4u);
-  }
-  EXPECT_EQ(&dense_op.dense(), &d);
-  EXPECT_EQ(&sparse_op.sparse(), &s);
-}
-
-TEST(LinearOperatorTest, ApplyAgreesAcrossPolicies) {
-  stats::Rng rng(62);
-  const Matrix d = test::random_matrix(9, 5, rng);
-  const SparseMatrix s = SparseMatrix::from_dense(d);
-  const Vector x = test::random_vector(5, rng);
-  const Vector y = test::random_vector(9, rng);
-  EXPECT_LT(max_abs_diff(LinearOperator(d).apply(x),
-                         LinearOperator(s).apply(x)), 1e-13);
-  EXPECT_LT(max_abs_diff(LinearOperator(d).apply_transpose(y),
-                         LinearOperator(s).apply_transpose(y)), 1e-13);
-}
-
-// --- shared conformance over both policies ------------------------------
-
-struct PolicyCase {
+struct SolverVariant {
   const char* name;
   SolverOptions options;
 };
 
 class BackendConformance : public ::testing::TestWithParam<int> {
  protected:
-  static std::vector<PolicyCase> solver_variants() {
+  static std::vector<SolverVariant> solver_variants() {
     SolverOptions chol;  // defaults: direct Cholesky
     SolverOptions cg_ic;
     cg_ic.method = SolverOptions::Method::kConjugateGradient;
@@ -84,17 +56,14 @@ TEST_P(BackendConformance, SolveLeastSquaresAgreesAcrossPolicies) {
   const Vector w = random_weights(m, rng);
   const Vector b = test::random_vector(m, rng);
 
-  const NormalEquationsSolver dense_solver(LinearOperator(d), w);
-  ASSERT_FALSE(dense_solver.failed());
-  const Vector x_dense = dense_solver.solve_least_squares(b);
+  const Vector x_dense = solve_weighted_least_squares(d, w, b);
 
-  for (const PolicyCase& pc : solver_variants()) {
-    const NormalEquationsSolver sparse_solver(LinearOperator(s), w,
-                                              pc.options);
-    ASSERT_FALSE(sparse_solver.failed()) << pc.name;
+  for (const SolverVariant& variant : solver_variants()) {
+    const NormalEquationsSolver sparse_solver(s, w, variant.options);
+    ASSERT_FALSE(sparse_solver.failed()) << variant.name;
     EXPECT_LT(max_abs_diff(sparse_solver.solve_least_squares(b), x_dense),
               1e-9)
-        << pc.name;
+        << variant.name;
   }
 }
 
@@ -106,49 +75,50 @@ TEST_P(BackendConformance, SolveNormalEquationsAgreesAcrossPolicies) {
   const Vector w = random_weights(m, rng);
   const Vector rhs = test::random_vector(n, rng);
 
-  const NormalEquationsSolver dense_solver(LinearOperator(d), w);
-  ASSERT_FALSE(dense_solver.failed());
-  const Vector x_dense = dense_solver.solve(rhs);
-  // The dense solve really inverts A^T W A.
   const Matrix gram = weighted_gram(d, w);
+  const CholeskyDecomposition dense_chol(gram);
+  ASSERT_FALSE(dense_chol.failed());
+  const Vector x_dense = dense_chol.solve(rhs);
+  // The dense solve really inverts A^T W A.
   EXPECT_LT(max_abs_diff(gram * x_dense, rhs),
             1e-9 * std::max(1.0, rhs.norm()));
 
-  for (const PolicyCase& pc : solver_variants()) {
-    const NormalEquationsSolver sparse_solver(LinearOperator(s), w,
-                                              pc.options);
-    ASSERT_FALSE(sparse_solver.failed()) << pc.name;
+  for (const SolverVariant& variant : solver_variants()) {
+    const NormalEquationsSolver sparse_solver(s, w, variant.options);
+    ASSERT_FALSE(sparse_solver.failed()) << variant.name;
     EXPECT_LT(max_abs_diff(sparse_solver.solve(rhs), x_dense), 1e-8)
-        << pc.name;
+        << variant.name;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendConformance, ::testing::Range(0, 10));
 
-// --- dense policy is the bit-exact reference ----------------------------
+// --- the dense solver is the bit-exact historical reference -------------
 
 TEST(BackendDenseExactnessTest, MatchesLegacyDenseSolverBitForBit) {
-  // The dense backend must reproduce the historical dense WLS exactly
-  // (same Gram accumulation, same Cholesky, same rhs loop) — the PR's
-  // dense bit-identity acceptance criterion at the API level.
+  // The dense WLS must keep reproducing the historical computation
+  // exactly: the same Gram accumulation, the same dense Cholesky and the
+  // same moment-vector loop.
   const grid::PowerSystem sys = grid::make_case57();
   const Matrix h = grid::measurement_matrix(sys);
   stats::Rng rng(71);
   const Vector w = random_weights(h.rows(), rng);
   const Vector b = test::random_vector(h.rows(), rng);
 
-  const Vector legacy = solve_weighted_least_squares(h, w, b);
-  const Vector backend =
-      solve_weighted_least_squares(LinearOperator(h), w, b);
-  const NormalEquationsSolver solver(LinearOperator(h), w);
-  ASSERT_FALSE(solver.failed());
-  const Vector member = solver.solve_least_squares(b);
-
-  ASSERT_EQ(legacy.size(), backend.size());
-  for (std::size_t i = 0; i < legacy.size(); ++i) {
-    EXPECT_EQ(legacy[i], backend[i]) << "entry " << i;
-    EXPECT_EQ(legacy[i], member[i]) << "entry " << i;
+  const CholeskyDecomposition chol(weighted_gram(h, w));
+  ASSERT_FALSE(chol.failed());
+  Vector rhs(h.cols());
+  for (std::size_t k = 0; k < h.rows(); ++k) {
+    const double wb = w[k] * b[k];
+    if (wb == 0.0) continue;
+    for (std::size_t j = 0; j < h.cols(); ++j) rhs[j] += h(k, j) * wb;
   }
+  const Vector legacy = chol.solve(rhs);
+  const Vector current = solve_weighted_least_squares(h, w, b);
+
+  ASSERT_EQ(legacy.size(), current.size());
+  for (std::size_t i = 0; i < legacy.size(); ++i)
+    EXPECT_EQ(legacy[i], current[i]) << "entry " << i;
 }
 
 // --- IEEE-case agreement (acceptance criterion) -------------------------
@@ -159,12 +129,10 @@ void expect_case_agreement(const grid::PowerSystem& sys, int seed) {
   stats::Rng rng(seed);
   const Vector w = random_weights(h.rows(), rng);
 
-  const NormalEquationsSolver dense_solver(LinearOperator(h), w);
   SolverOptions cg;
   cg.method = SolverOptions::Method::kConjugateGradient;
-  const NormalEquationsSolver sparse_chol(LinearOperator(hs), w);
-  const NormalEquationsSolver sparse_cg(LinearOperator(hs), w, cg);
-  ASSERT_FALSE(dense_solver.failed());
+  const NormalEquationsSolver sparse_chol(hs, w);
+  const NormalEquationsSolver sparse_cg(hs, w, cg);
   ASSERT_FALSE(sparse_chol.failed());
   ASSERT_FALSE(sparse_cg.failed());
 
@@ -172,7 +140,7 @@ void expect_case_agreement(const grid::PowerSystem& sys, int seed) {
     // Realistic magnitudes: states ~0.1 rad, noise-scale perturbations.
     const Vector theta = test::random_vector(h.cols(), rng, 0.1);
     const Vector b = h * theta + test::random_vector(h.rows(), rng, 0.01);
-    const Vector x_dense = dense_solver.solve_least_squares(b);
+    const Vector x_dense = solve_weighted_least_squares(h, w, b);
     const double scale = std::max(1.0, x_dense.norm_inf());
     EXPECT_LT(max_abs_diff(sparse_chol.solve_least_squares(b), x_dense),
               1e-10 * scale)
@@ -197,7 +165,7 @@ TEST(BackendCaseAgreementTest, Case118DenseVsSparseWithin1em10) {
   expect_case_agreement(grid::make_case118(), 83);
 }
 
-// --- failure paths, both policies ---------------------------------------
+// --- failure paths, dense and sparse ------------------------------------
 
 TEST(BackendFailureTest, RankDeficientMatrixFailsUnderBothPolicies) {
   // Duplicate column -> A^T W A singular.
@@ -210,46 +178,39 @@ TEST(BackendFailureTest, RankDeficientMatrixFailsUnderBothPolicies) {
   const Vector w = unit_weights(5);
   const Vector b(5, 1.0);
 
-  const NormalEquationsSolver dense_solver(LinearOperator(a), w);
-  EXPECT_TRUE(dense_solver.failed());
-  EXPECT_THROW(dense_solver.solve_least_squares(b), std::runtime_error);
+  EXPECT_THROW(solve_weighted_least_squares(a, w, b), std::runtime_error);
 
-  // The direct (Cholesky) method detects the singular Gram matrix under
-  // the sparse policy too. (CG does not: on a consistent singular system
-  // it quietly converges to one of the least-squares solutions.)
-  const NormalEquationsSolver sparse_solver(LinearOperator(s), w);
+  // The direct (Cholesky) method detects the singular Gram matrix in CSR
+  // too. (CG does not: on a consistent singular system it quietly
+  // converges to one of the least-squares solutions.)
+  const NormalEquationsSolver sparse_solver(s, w);
   EXPECT_TRUE(sparse_solver.failed());
   EXPECT_THROW(sparse_solver.solve_least_squares(b), std::runtime_error);
 }
 
 TEST(BackendFailureTest, ZeroWeightsCanSinkTheProblem) {
-  // All-zero weights make A^T W A identically zero under either policy.
+  // All-zero weights make A^T W A identically zero, dense or sparse.
   stats::Rng rng(91);
   const Matrix a = test::random_matrix(6, 3, rng);
   const SparseMatrix s = SparseMatrix::from_dense(a);
   const Vector w(6, 0.0);
-  EXPECT_TRUE(NormalEquationsSolver(LinearOperator(a), w).failed());
-  EXPECT_TRUE(NormalEquationsSolver(LinearOperator(s), w).failed());
+  EXPECT_TRUE(CholeskyDecomposition(weighted_gram(a, w)).failed());
+  EXPECT_THROW(solve_weighted_least_squares(a, w, Vector(6, 1.0)),
+               std::runtime_error);
+  EXPECT_TRUE(NormalEquationsSolver(s, w).failed());
 }
 
 TEST(BackendFailureTest, FreeFunctionThrowsHistoricalMessage) {
   Matrix a(3, 2);  // zero matrix: rank deficient
   const Vector w = unit_weights(3);
   const Vector b(3, 1.0);
-  for (bool sparse : {false, true}) {
-    try {
-      if (sparse) {
-        const SparseMatrix s = SparseMatrix::from_dense(a);
-        solve_weighted_least_squares(LinearOperator(s), w, b);
-      } else {
-        solve_weighted_least_squares(LinearOperator(a), w, b);
-      }
-      FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(),
-                   "weighted least squares: normal equations not positive "
-                   "definite (rank-deficient matrix or non-positive weights)");
-    }
+  try {
+    solve_weighted_least_squares(a, w, b);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "weighted least squares: normal equations not positive "
+                 "definite (rank-deficient matrix or non-positive weights)");
   }
 }
 
@@ -266,7 +227,7 @@ TEST(BackendFailureTest, CgDivergenceReportsResidual) {
   cg.method = SolverOptions::Method::kConjugateGradient;
   cg.preconditioner = SolverOptions::Preconditioner::kJacobi;
   cg.cg_max_iterations = 1;
-  const NormalEquationsSolver solver(LinearOperator(s), w, cg);
+  const NormalEquationsSolver solver(s, w, cg);
   ASSERT_FALSE(solver.failed());
   EXPECT_THROW(solver.solve_least_squares(Vector(12, 1.0)),
                std::runtime_error);

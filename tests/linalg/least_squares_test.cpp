@@ -61,32 +61,6 @@ TEST(LeastSquaresTest, ThrowsOnRankDeficiency) {
       std::runtime_error);
 }
 
-TEST(HatMatrixTest, IsIdempotentProjection) {
-  stats::Rng rng(4);
-  const Matrix a = test::random_matrix(7, 3, rng);
-  Vector w(7);
-  for (std::size_t i = 0; i < 7; ++i) w[i] = 1.0 + rng.uniform();
-  const Matrix k = weighted_hat_matrix(a, w);
-  EXPECT_NEAR(max_abs_diff(k * k, k), 0.0, 1e-8);
-}
-
-TEST(HatMatrixTest, FixesColumnSpace) {
-  stats::Rng rng(5);
-  const Matrix a = test::random_matrix(8, 3, rng);
-  const Matrix k = weighted_hat_matrix(a, Vector(8, 1.0));
-  EXPECT_NEAR(max_abs_diff(k * a, a), 0.0, 1e-8);
-}
-
-TEST(HatMatrixTest, ResidualOperatorAnnihilatesColumnSpace) {
-  // (I - K) H c == 0: exactly why a = Hc bypasses the BDD (paper App. A).
-  stats::Rng rng(6);
-  const Matrix h = test::random_matrix(9, 4, rng);
-  const Matrix k = weighted_hat_matrix(h, Vector(9, 4.0));
-  const Vector c = test::random_vector(4, rng);
-  const Vector residual = h * c - k * (h * c);
-  EXPECT_NEAR(residual.norm_inf(), 0.0, 1e-8);
-}
-
 // Property: WLS solution minimizes the weighted residual against random
 // competitor points.
 class WlsOptimalityProperty : public ::testing::TestWithParam<int> {};

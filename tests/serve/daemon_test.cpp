@@ -401,6 +401,34 @@ TEST(ServeDaemonLifecycleTest, CampaignScoresKnowledgeFrontierOverWindow) {
   EXPECT_EQ(metrics.find("campaign")->as_number(), 4.0);
 }
 
+TEST(ServeDaemonLifecycleTest, TickFactorsStateEstimationSparsely) {
+  // Every dispatch factors B_r once: either a merit-order certificate hit
+  // or an evaluation whose LP rounds each count a simplex solve. State
+  // estimation factors its Gram matrix H^T W H with the same sparse
+  // Cholesky — the keyed hour's snapshot estimator and every
+  // effectiveness scoring — so a tick's factorizations exceed what its
+  // dispatches alone account for.
+  const std::unique_ptr<MtdDaemon> daemon = test::make_fast_daemon();
+  const auto metrics = [&] {
+    return Json::parse(daemon->handle_line(R"({"op":"metrics"})"));
+  };
+  const auto delta = [](const Json& before, const Json& after,
+                        const char* name) {
+    return after.find("engine")->find(name)->as_number() -
+           before.find("engine")->find(name)->as_number();
+  };
+  const Json before = metrics();
+  const Json tick = Json::parse(daemon->handle_line(R"({"op":"tick"})"));
+  ASSERT_TRUE(tick.find("ok")->as_bool());
+  const Json after = metrics();
+
+  const double dispatch_bound =
+      delta(before, after, "dispatch_certificate_hits") +
+      delta(before, after, "simplex_solves");
+  EXPECT_GT(delta(before, after, "cholesky_factorizations"), dispatch_bound);
+  EXPECT_GT(delta(before, after, "cholesky_factor_nnz"), 0.0);
+}
+
 TEST(ServeDaemonLifecycleTest, TickRetainsHistoryAndPinsHours) {
   const std::unique_ptr<MtdDaemon> daemon = test::make_fast_daemon();
   const std::string hour0_dispatch =
