@@ -82,16 +82,17 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   rec.total_load_mw = trace_.total_mw(h);
   ++hour_;
 
-  // The per-hour inputs (loads, attacker matrix) change here, so any
-  // evaluator pairs cached from the previous hour are stale.
-  worker_cache_.invalidate();
-
   const std::size_t prev = (h + hours - 1) % hours;
   if (!base_[h].feasible || !base_[prev].feasible) return out;
   rec.base_opf_cost = base_[h].cost;
 
   trace_.apply(sys_, h, base_loads_);
   const linalg::Matrix& h_attacker = base_[prev].h;
+  // The hour's SPA evaluators: the attacker's (every retry's selection and
+  // the natural drift below) and the no-MTD matrix's (cost driver).
+  const SpaEvaluator attacker_eval(sys_, h_attacker);
+  const SpaEvaluator base_eval(sys_, base_[h].h);
+  const double gamma_ht_htp = attacker_eval.gamma(base_[h].reactances);
 
   MtdSelectionOptions sel = options_.selection;
   // Pin the achieved SPA at gamma_th: minimizing cost over the flat-cost
@@ -103,14 +104,11 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
   // few percent per hour, so the incumbent is usually near-feasible for
   // the new hour and saves the search most of its exploration budget.
   sel.warm_start = mtd_warm_;
-  // Reuse the per-worker evaluator pairs across the gamma-grid retries of
-  // this hour (they depend only on the hour's loads and attacker matrix).
-  sel.worker_cache = &worker_cache_;
   bool done = false;
   for (std::size_t gi = start_idx_; gi < options_.gamma_grid.size(); ++gi) {
     sel.gamma_threshold = options_.gamma_grid[gi];
     MtdSelectionResult res =
-        select_mtd_perturbation(sys_, h_attacker, base_[h].cost, sel, rng);
+        select_mtd_perturbation(sys_, attacker_eval, base_[h].cost, sel, rng);
     if (!res.feasible) continue;
     mtd_warm_ = linalg::Vector(dfacts_.size());
     for (std::size_t k = 0; k < dfacts_.size(); ++k)
@@ -130,9 +128,9 @@ DailyHourOutcome DailyEngine::advance_hour(stats::Rng& rng) {
     // the warm-started hourly baseline was not polished to the global
     // optimum, so report "no additional cost".
     rec.cost_increase_pct = std::max(0.0, 100.0 * res.cost_increase);
-    rec.gamma_ht_htp = spa(h_attacker, base_[h].h);
+    rec.gamma_ht_htp = gamma_ht_htp;
     rec.gamma_ht_hmtd = res.spa;
-    rec.gamma_htp_hmtd = spa(base_[h].h, res.h_mtd);
+    rec.gamma_htp_hmtd = base_eval.gamma(res.reactances);
     rec.eta_at_target = er.eta[0];
     rec.feasible = true;
 

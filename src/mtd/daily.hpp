@@ -3,7 +3,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "grid/load_trace.hpp"
 #include "grid/power_system.hpp"
 #include "linalg/matrix.hpp"
@@ -80,11 +79,10 @@ struct DailyHourOutcome {
 /// next day while the warm-start state (incumbent perturbation, gamma
 /// grid position) keeps carrying forward.
 ///
-/// The engine reuses per-worker `SpaEvaluator`/`DispatchEvaluator` pairs
-/// across the gamma-grid retries of an hour through a
-/// `core::WorkerStateCache` (invalidated at each hour boundary) — a pure
-/// speed knob; results are bit-identical with or without the cache, at
-/// any thread count.
+/// Each hour builds two immutable `SpaEvaluator`s — one on the attacker
+/// matrix H_t, shared by every gamma-grid retry's selection and by
+/// gamma(H_t, H_t'), and one on the hour's no-MTD matrix H_t' for
+/// gamma(H_t', H'_t') — so no SPA of the hour runs a full SVD.
 ///
 /// \see serve::MtdDaemon for the serving layer built on this engine
 /// (DESIGN.md "Serving architecture").
@@ -131,7 +129,6 @@ class DailyEngine {
   linalg::Vector base_loads_;
   std::vector<std::size_t> dfacts_;
   std::vector<BaseHour> base_;
-  core::WorkerStateCache<SelectionWorkerState> worker_cache_;
   linalg::Vector mtd_warm_;     // previous hour's D-FACTS perturbation
   std::size_t start_idx_ = 0;   // gamma grid warm-start position
   std::size_t hour_ = 0;        // absolute virtual-clock hour

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <memory>
 #include <stdexcept>
 
 #include "core/parallel.hpp"
@@ -15,6 +14,15 @@ namespace mtdgrid::mtd {
 
 MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
                                            const linalg::Matrix& h_attacker,
+                                           double base_opf_cost,
+                                           const MtdSelectionOptions& options,
+                                           stats::Rng& rng) {
+  return select_mtd_perturbation(sys, SpaEvaluator(sys, h_attacker),
+                                 base_opf_cost, options, rng);
+}
+
+MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
+                                           const SpaEvaluator& spa_eval,
                                            double base_opf_cost,
                                            const MtdSelectionOptions& options,
                                            stats::Rng& rng) {
@@ -38,40 +46,22 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   const double penalty = options.penalty_scale * base_opf_cost;
   constexpr double kInfeasiblePenalty = 1e15;
 
-  // Amortized hot-path evaluators: the attacker basis is factorized once
-  // per worker and each candidate costs a rank-k update plus the dispatch
-  // loop (a power flow, and PTDF LP rounds only under congestion) instead
-  // of two SVD-scale factorizations and a from-scratch dispatch. One
-  // evaluator pair per pool worker (SelectionWorkerState), built lazily on
-  // first use and SHARED by the corner-scoring and multi-start regions
-  // below — the evaluators hold per-sweep factorizations, so sharing one
-  // across threads is not part of their contract, but reusing a worker's
-  // pair across regions is free. With `options.worker_cache` the same
-  // pairs additionally survive across *calls* with unchanged inputs (the
-  // daily gamma-grid retries); states are interchangeable either way.
-  core::WorkerStates<SelectionWorkerState> local_states;
-  core::WorkerStates<SelectionWorkerState>& worker_states =
-      options.worker_cache != nullptr ? options.worker_cache->slots()
-                                      : local_states;
-  if (options.worker_cache == nullptr)
-    local_states.resize(core::worker_state_slots());
-  const auto make_state = [&] {
-    SelectionWorkerState state;
-    state.dispatch_eval = std::make_unique<opf::DispatchEvaluator>(sys);
-    state.spa_eval = std::make_unique<SpaEvaluator>(sys, h_attacker);
-    return state;
-  };
+  // Amortized hot-path evaluators, one immutable pair shared by every
+  // pool worker: each candidate costs a closed-form SPA over the changed
+  // D-FACTS branches plus the dispatch loop (a power flow, and PTDF LP
+  // rounds only under congestion) instead of two SVD-scale factorizations
+  // and a from-scratch dispatch.
+  const opf::DispatchEvaluator dispatch_eval(sys);
 
   // Penalized objective: dispatch cost + quadratic penalty on the unmet
-  // part of the SPA constraint (exact for a large enough multiplier).
-  // Evaluated through a worker's own state; identical states give
-  // identical values, so the objective is a pure function of dfacts_x.
-  const auto objective_with = [&](const SelectionWorkerState& state,
-                                  const linalg::Vector& dfacts_x) {
+  // part of the SPA constraint (exact for a large enough multiplier). A
+  // pure function of dfacts_x, so the worker that evaluates it is
+  // irrelevant.
+  const auto objective = [&](const linalg::Vector& dfacts_x) {
     const linalg::Vector x = opf::expand_dfacts_reactances(sys, dfacts_x);
-    const opf::DispatchResult d = state.dispatch_eval->evaluate(x);
+    const opf::DispatchResult d = dispatch_eval.evaluate(x);
     if (!d.feasible) return kInfeasiblePenalty;
-    const double gamma = state.spa_eval->gamma(x);
+    const double gamma = spa_eval.gamma(x);
     const double deficit =
         options.pin_gamma ? std::abs(options.gamma_threshold - gamma)
                           : std::max(0.0, options.gamma_threshold - gamma);
@@ -109,7 +99,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
     };
     // Corner generation stays sequential (it draws from `rng` when the box
     // has more than 8 dimensions); the expensive scoring sweep fans out
-    // across the pool with one evaluator pair per worker.
+    // across the pool.
     std::vector<ScoredCorner> corners;
     const std::size_t dims = lo.size();
     const std::size_t total =
@@ -123,11 +113,9 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
       }
       corners.push_back({0.0, std::move(corner)});
     }
-    core::parallel_for_with_shared_state(
-        corners.size(), worker_states, make_state,
-        [&](SelectionWorkerState& state, std::size_t c) {
-          corners[c].score = objective_with(state, corners[c].x);
-        });
+    core::parallel_for(corners.size(), [&](std::size_t c) {
+      corners[c].score = objective(corners[c].x);
+    });
     std::sort(corners.begin(), corners.end(),
               [](const ScoredCorner& a, const ScoredCorner& b) {
                 return a.score < b.score;
@@ -139,17 +127,13 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
       starts.push_back(std::move(corners[i].x));
   }
 
-  // One Nelder-Mead run per start, in parallel with per-worker evaluators;
-  // the ordered strict-'<' fold below picks the same winner the sequential
-  // start loop would.
+  // One Nelder-Mead run per start, in parallel; the ordered strict-'<'
+  // fold below picks the same winner the sequential start loop would.
   std::vector<opf::DirectSearchResult> results(starts.size());
-  core::parallel_for_with_shared_state(
-      starts.size(), worker_states, make_state,
-      [&](SelectionWorkerState& state, std::size_t i) {
-        results[i] = opf::nelder_mead_box(
-            [&](const linalg::Vector& x) { return objective_with(state, x); },
-            lo, hi, starts[i], options.search);
-      });
+  core::parallel_for(starts.size(), [&](std::size_t i) {
+    results[i] =
+        opf::nelder_mead_box(objective, lo, hi, starts[i], options.search);
+  });
   opf::DirectSearchResult best;
   bool first = true;
   for (opf::DirectSearchResult& r : results) {
@@ -163,7 +147,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
   result.reactances = opf::expand_dfacts_reactances(sys, best.x);
   result.dispatch = opf::solve_dc_opf(sys, result.reactances);
   result.h_mtd = grid::measurement_matrix(sys, result.reactances);
-  result.spa = spa(h_attacker, result.h_mtd);
+  result.spa = spa_eval.gamma(result.reactances);
   result.base_opf_cost = base_opf_cost;
   if (result.dispatch.feasible) {
     result.opf_cost = result.dispatch.cost;

@@ -1,8 +1,5 @@
 #pragma once
 
-#include <memory>
-
-#include "core/parallel.hpp"
 #include "grid/power_system.hpp"
 #include "linalg/matrix.hpp"
 #include "mtd/spa.hpp"
@@ -11,21 +8,6 @@
 #include "stats/rng.hpp"
 
 namespace mtdgrid::mtd {
-
-/// Per-worker evaluation state of the selection sweep: the SPA and
-/// dispatch evaluators carry factorizations, so each pool worker builds
-/// its own pair instead of sharing. Construction is deterministic — every
-/// worker's pair computes identical objective values, so results do not
-/// depend on which worker served which candidate (the
-/// `core::parallel_for_with_state` contract). Exposed publicly so a
-/// long-lived caller can keep a `core::WorkerStateCache` of these across
-/// repeated `select_mtd_perturbation` calls with unchanged inputs (see
-/// `MtdSelectionOptions::worker_cache`).
-struct SelectionWorkerState {
-  std::unique_ptr<SpaEvaluator> spa_eval;  ///< rank-k SPA fast path
-  /// The dispatch loop with its candidate-independent set-up done once.
-  std::unique_ptr<opf::DispatchEvaluator> dispatch_eval;
-};
 
 /// Options for the SPA-constrained minimum-cost MTD selection (paper
 /// problem (4)).
@@ -47,16 +29,6 @@ struct MtdSelectionOptions {
   /// `dfacts_branches()` order) added to the start portfolio — e.g. the
   /// previous hour's perturbation in the daily loop. Empty = none.
   linalg::Vector warm_start;
-  /// Optional caller-owned per-worker evaluator cache, reused across
-  /// consecutive `select_mtd_perturbation` calls whose (system, loads,
-  /// `h_attacker`) are all unchanged — the daily loop's gamma-grid
-  /// retries within one hour, the daemon's request-scoped re-keying.
-  /// The caller must `invalidate()` the cache whenever any of
-  /// those inputs changes. States are interchangeable (deterministic
-  /// construction), so caching is a pure speed knob: results are
-  /// bit-identical with or without it. nullptr (default) builds per-call
-  /// states.
-  core::WorkerStateCache<SelectionWorkerState>* worker_cache = nullptr;
 };
 
 /// Result of the MTD perturbation selection.
@@ -83,6 +55,18 @@ struct MtdSelectionResult {
 /// paper's fmincon + MultiStart approach.
 MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
                                            const linalg::Matrix& h_attacker,
+                                           double base_opf_cost,
+                                           const MtdSelectionOptions& options,
+                                           stats::Rng& rng);
+
+/// Problem (4) against a caller-built evaluator of the attacker matrix —
+/// for a caller that scores the same attacker matrix again, e.g. the
+/// daily loop's gamma-grid retries within one hour. `spa_eval` must have
+/// been built for `h_attacker` on a system with `sys`'s topology (loads
+/// may differ; the SPA does not depend on them). Results are bit-identical
+/// to the `Matrix` overload, which builds the evaluator and delegates.
+MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
+                                           const SpaEvaluator& spa_eval,
                                            double base_opf_cost,
                                            const MtdSelectionOptions& options,
                                            stats::Rng& rng);

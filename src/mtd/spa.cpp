@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "grid/measurement.hpp"
+#include "linalg/lu.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/subspace.hpp"
 #include "linalg/svd.hpp"
@@ -53,36 +54,95 @@ bool SpaEvaluator::recover_reference(const FlowEntry& flow_entry) {
   return true;
 }
 
-void SpaEvaluator::build_basis(bool recovered) {
+void SpaEvaluator::build_basis(const linalg::Matrix& h0, bool recovered) {
   if (recovered) {
-    const linalg::QrDecomposition qr(h0_);
-    if (qr.rank() == h0_.cols()) {
+    const linalg::QrDecomposition qr(h0);
+    if (qr.rank() == h0.cols()) {
       q0_ = qr.q_thin();
-      r0_ = qr.r();
+      build_closed_form(qr.r());
       incremental_ = true;
       return;
     }
   }
-  q0_ = linalg::orthonormal_basis_qr(h0_);
+  q0_ = linalg::orthonormal_basis_qr(h0);
+}
+
+void SpaEvaluator::build_closed_form(const linalg::Matrix& r0) {
+  // Per-D-FACTS-branch blocks of the closed form (see gamma()). Column j
+  // belongs to D-FACTS branch dfacts[j]; u_l is its structure vector (+1 at
+  // flow row l, -1 at the reverse row L+l, +-1 at the endpoint injection
+  // rows) and a_l its reduced-incidence row (+1 at from, -1 at to).
+  const std::vector<std::size_t> dfacts = sys_.dfacts_branches();
+  const std::size_t m = dfacts.size();
+  const std::size_t n = r0.cols();
+  const std::size_t num_branches = sys_.num_branches();
+  dfacts_slot_.assign(num_branches, kNotDfacts);
+  for (std::size_t j = 0; j < m; ++j) dfacts_slot_[dfacts[j]] = j;
+  if (m == 0) return;
+
+  // P = Q0^T U through the 4 nonzero rows of each structure vector, and
+  // U_perp = U - Q0 P with one re-orthogonalization pass for stability.
+  linalg::Matrix p(n, m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const grid::Branch& br = sys_.branch(dfacts[j]);
+    const std::size_t row_f = 2 * num_branches + br.from;
+    const std::size_t row_t = 2 * num_branches + br.to;
+    for (std::size_t c = 0; c < n; ++c)
+      p(c, j) = q0_(dfacts[j], c) - q0_(num_branches + dfacts[j], c) +
+                q0_(row_f, c) - q0_(row_t, c);
+  }
+  linalg::Matrix u_perp = q0_ * p;
+  u_perp *= -1.0;
+  for (std::size_t j = 0; j < m; ++j) {
+    const grid::Branch& br = sys_.branch(dfacts[j]);
+    u_perp(dfacts[j], j) += 1.0;
+    u_perp(num_branches + dfacts[j], j) -= 1.0;
+    u_perp(2 * num_branches + br.from, j) += 1.0;
+    u_perp(2 * num_branches + br.to, j) -= 1.0;
+  }
+  const linalg::Matrix p2 = q0_.transpose_times(u_perp);
+  u_perp -= q0_ * p2;
+  p += p2;
+  // U_perp = Q_u R_u; Q_u never enters a singular value, only R_u does.
+  // Householder keeps Q_u orthonormal even when the columns are dependent.
+  ru_ = linalg::QrDecomposition(u_perp).r();
+
+  // Z = R0^{-T} A by forward substitution (R0^T is lower triangular).
+  linalg::Matrix z(n, m);
+  for (std::size_t j = 0; j < m; ++j) {
+    const grid::Branch& br = sys_.branch(dfacts[j]);
+    const std::size_t cf = grid::reduced_state_column(sys_, br.from);
+    const std::size_t ct = grid::reduced_state_column(sys_, br.to);
+    for (std::size_t i = 0; i < n; ++i) {
+      double v = (i == cf ? 1.0 : 0.0) - (i == ct ? 1.0 : 0.0);
+      for (std::size_t t = 0; t < i; ++t) v -= r0(t, i) * z(t, j);
+      z(i, j) = v / r0(i, i);
+    }
+  }
+  psi_ = z.transpose_times(p);
+  // Z^T = Y Q_z^T with Q_z orthonormal, so sigma(X Z^T) = sigma(X Y^T):
+  // Y = R_z^T from a Householder QR of Z, or Z^T itself when Z is wide
+  // (more D-FACTS branches than states).
+  yz_ = m <= n ? linalg::QrDecomposition(z).r().transposed() : z.transposed();
 }
 
 SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
                            const linalg::Matrix& h_attacker)
-    : sys_(sys), h0_(h_attacker) {
-  if (h0_.rows() != grid::measurement_count(sys_) ||
-      h0_.cols() != sys_.num_buses() - 1)
+    : sys_(sys) {
+  if (h_attacker.rows() != grid::measurement_count(sys_) ||
+      h_attacker.cols() != sys_.num_buses() - 1)
     throw std::invalid_argument(
         "SpaEvaluator: h_attacker does not have the system's measurement "
         "dimensions");
 
   bool recovered = recover_reference(
-      [&](std::size_t l, std::size_t c) { return h0_(l, c); });
+      [&](std::size_t l, std::size_t c) { return h_attacker(l, c); });
   if (recovered) {
     const linalg::Matrix rebuilt = grid::measurement_matrix(sys_, x_ref_);
-    const double scale = std::max(1.0, h0_.max_abs());
-    recovered = linalg::max_abs_diff(rebuilt, h0_) <= 1e-8 * scale;
+    const double scale = std::max(1.0, h_attacker.max_abs());
+    recovered = linalg::max_abs_diff(rebuilt, h_attacker) <= 1e-8 * scale;
   }
-  build_basis(recovered);
+  build_basis(h_attacker, recovered);
 }
 
 SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
@@ -106,15 +166,13 @@ SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
     recovered = linalg::max_abs_diff(rebuilt, h_attacker) <= 1e-8 * scale;
   }
   // Only the QR basis — dense by nature — materializes the full block.
-  h0_ = h_attacker.to_dense();
-  build_basis(recovered);
+  build_basis(h_attacker.to_dense(), recovered);
 }
 
 double SpaEvaluator::gamma(const linalg::Vector& x) const {
   if (x.size() != sys_.num_branches())
     throw std::invalid_argument("SpaEvaluator: reactance vector length");
   if (!incremental_) return gamma_full(grid::measurement_matrix(sys_, x));
-  obs::add(obs::Work::kSpaFastPathEvals);
 
   // Relative tolerance: the x_ref recovered from h_attacker carries ~1e-16
   // reconstruction rounding, so candidates numerically equal to the
@@ -122,97 +180,54 @@ double SpaEvaluator::gamma(const linalg::Vector& x) const {
   // sub-1e-12 reactance jitter contributes < 1e-11 rad anyway.
   const std::vector<std::size_t> changed =
       grid::changed_branches(x_ref_, x, 1e-12);
-  if (changed.empty()) return 0.0;
-  for (std::size_t l : changed)
+  bool closed_form = true;
+  for (std::size_t l : changed) {
     if (!(x[l] > 0.0))
       throw std::invalid_argument("SpaEvaluator: reactances must be > 0");
+    closed_form = closed_form && dfacts_slot_[l] != kNotDfacts;
+  }
+  if (!closed_form) return gamma_full(grid::measurement_matrix(sys_, x));
+  if (changed.empty()) {
+    obs::add(obs::Work::kSpaFastPathEvals);
+    return 0.0;
+  }
 
-  const std::size_t n = h0_.cols();
-  const std::size_t num_branches = sys_.num_branches();
-  const std::size_t num_buses = sys_.num_buses();
+  // H(x) = [Q0 Q_u] [R0 + P D A_C^T; R_u,C D A_C^T] for the changed set C,
+  // so tan(Theta) = sigma(K_bot K_top^{-1}) and, by Woodbury,
+  // D A_C^T K_top^{-1} = (I + D Psi_CC)^{-1} D Z_C^T: every angle comes
+  // from the k x k matrix G = (I + D Psi_CC)^{-1} D and the stored blocks.
   const std::size_t k = changed.size();
-
-  // H(x) = H0 + U W^T: column j of U is the (sparse) structure vector of
-  // changed branch l_j — +1 at flow row l, -1 at the reverse row L+l, and
-  // the incidence pattern at the injection rows; column j of W is
-  // delta_j * a_l (the branch's reduced-incidence row).
-  // P = Q0^T U via the 4 nonzero rows of each structure vector.
-  linalg::Matrix p(n, k);
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t l = changed[j];
-    const grid::Branch& br = sys_.branch(l);
-    const std::size_t row_f = 2 * num_branches + br.from;
-    const std::size_t row_t = 2 * num_branches + br.to;
-    for (std::size_t c = 0; c < n; ++c)
-      p(c, j) = q0_(l, c) - q0_(num_branches + l, c) + q0_(row_f, c) -
-                q0_(row_t, c);
+  linalg::Vector delta(k);
+  linalg::Matrix lhs(k, k);
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t l = changed[i];
+    delta[i] = sys_.base_mva() / x[l] - d_ref_[l];
+    for (std::size_t j = 0; j < k; ++j)
+      lhs(i, j) = delta[i] * psi_(dfacts_slot_[l], dfacts_slot_[changed[j]]);
+    lhs(i, i) += 1.0;
   }
+  // A singular K_top means some direction of Col(H(x)) is orthogonal to
+  // Col(H0); the explicit route resolves that edge.
+  const linalg::LuDecomposition lu(lhs);
+  if (lu.singular()) return gamma_full(grid::measurement_matrix(sys_, x));
+  obs::add(obs::Work::kSpaFastPathEvals);
+  const linalg::Matrix g = lu.solve(linalg::Matrix::diagonal(delta));
 
-  // U_perp = U - Q0 P, with one re-orthogonalization pass for stability.
-  linalg::Matrix u_perp = q0_ * p;
-  u_perp *= -1.0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t l = changed[j];
-    const grid::Branch& br = sys_.branch(l);
-    u_perp(l, j) += 1.0;
-    u_perp(num_branches + l, j) -= 1.0;
-    u_perp(2 * num_branches + br.from, j) += 1.0;
-    u_perp(2 * num_branches + br.to, j) -= 1.0;
+  // T = R_u[:, C] G Y[C, :]^T, whose singular values are tan(Theta).
+  linalg::Matrix ru_c(ru_.rows(), k);
+  linalg::Matrix yz_c(k, yz_.cols());
+  for (std::size_t t = 0; t < k; ++t) {
+    const std::size_t slot = dfacts_slot_[changed[t]];
+    for (std::size_t i = 0; i < ru_.rows(); ++i) ru_c(i, t) = ru_(i, slot);
+    for (std::size_t c = 0; c < yz_.cols(); ++c) yz_c(t, c) = yz_(slot, c);
   }
-  const linalg::Matrix p2 = q0_.transpose_times(u_perp);
-  u_perp -= q0_ * p2;
-  p += p2;
-
-  // Orthonormal complement directions introduced by the update (at most k;
-  // fewer when some structure vectors already lie in span[Q0, others]).
-  const linalg::Matrix qu = linalg::orthonormal_column_basis(u_perp);
-  const std::size_t kp = qu.cols();
-  if (kp == 0) return 0.0;  // Col(H(x)) == Col(H0)
-  const linalg::Matrix ru = qu.transpose_times(u_perp);
-
-  // K = [R0 + P W^T; R_u W^T] — H(x) = [Q0 Q_u] K, so the principal angles
-  // between Col(H0) and Col(H(x)) are read off the QR of K alone.
-  linalg::Matrix kmat(n + kp, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = i; j < n; ++j) kmat(i, j) = r0_(i, j);
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t l = changed[j];
-    const grid::Branch& br = sys_.branch(l);
-    const double delta = sys_.base_mva() / x[l] - d_ref_[l];
-    const std::size_t cf = grid::reduced_state_column(sys_, br.from);
-    const std::size_t ct = grid::reduced_state_column(sys_, br.to);
-    // w_j = delta * a_l with a_l = +1 at from, -1 at to (slack dropped).
-    if (cf < num_buses) {
-      for (std::size_t i = 0; i < n; ++i) kmat(i, cf) += delta * p(i, j);
-      for (std::size_t i = 0; i < kp; ++i)
-        kmat(n + i, cf) += delta * ru(i, j);
-    }
-    if (ct < num_buses) {
-      for (std::size_t i = 0; i < n; ++i) kmat(i, ct) -= delta * p(i, j);
-      for (std::size_t i = 0; i < kp; ++i)
-        kmat(n + i, ct) -= delta * ru(i, j);
-    }
-  }
-
-  const linalg::QrDecomposition qk(kmat);
-  const linalg::Matrix& q_small = qk.q_thin();  // (n + kp) x n
-
-  // Q(x) = [Q0 Q_u] Q_small, so (I - Q0 Q0^T) Q(x) = Q_u B with B the
-  // bottom block: the nonzero principal-angle sines are sigma(B).
-  const linalg::Matrix bottom = q_small.block(n, 0, kp, n);
-  const double s =
-      std::clamp(linalg::largest_singular_value(bottom), 0.0, 1.0);
-  if (s * s <= 0.5) return std::asin(s);
-  // Angle above pi/4: the cosine route conditions better. C = Q0^T Q(x) is
-  // the top block of Q_small.
-  const linalg::Matrix top = q_small.block(0, 0, n, n);
-  return std::acos(
-      std::clamp(linalg::smallest_singular_value(top), 0.0, 1.0));
+  const linalg::Matrix tmat = ru_c * g * yz_c;
+  return std::atan(linalg::largest_singular_value(tmat));
 }
 
 double SpaEvaluator::gamma_full(const linalg::Matrix& h_new) const {
   obs::add(obs::Work::kSpaFullEvals);
-  if (h_new.rows() != h0_.rows())
+  if (h_new.rows() != q0_.rows())
     throw std::invalid_argument(
         "SpaEvaluator: candidate matrix row dimension");
   const linalg::Matrix qb = linalg::orthonormal_basis_qr(h_new);

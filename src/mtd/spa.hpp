@@ -46,25 +46,30 @@ bool column_spaces_orthogonal(const linalg::Matrix& h_old,
 /// Amortized gamma(H_attacker, H(x)) evaluation for the selection hot loop.
 ///
 /// The plain `spa()` call orthonormalizes BOTH matrices and runs a Jacobi
-/// SVD of the full principal-angle core on every invocation — at IEEE
-/// 57-bus scale that is ~8 ms per candidate, and the attacker matrix is
-/// re-factorized thousands of times. This evaluator does the work once:
+/// SVD of the full principal-angle core on every invocation. This
+/// evaluator moves all O(n^3) work to construction:
 ///
-///  * the attacker basis Q0 and triangular factor R0 are computed at
-///    construction (Householder thin QR);
+///  * the attacker basis Q0 and triangular factor R0 come from one
+///    Householder thin QR of `h_attacker`;
 ///  * when `h_attacker` is recognized as a measurement matrix of `sys`
 ///    (H = S diag(d) A_r for recovered reactances x_ref — true for every
 ///    matrix produced by `grid::measurement_matrix`), a candidate x that
-///    changes k branch reactances is handled as the rank-k update
-///    H(x) = H0 + U W^T. The updated orthonormal factor lives in
-///    span[Q0, Q_u] with Q_u spanning only k extra directions, so the
-///    principal angles come from a QR of the small (n+k) x n matrix
-///    [R0 + (Q0^T U) W^T; R_u W^T]: the nonzero angle sines are the
-///    singular values of its bottom k x n block, and no O(M n^2) or
-///    O(n^3)-SVD work is touched. ~20x faster per candidate at 57-bus
-///    scale, with gammas matching `spa()` to ~1e-12 rad.
-///  * otherwise (arbitrary attacker matrix) it falls back to rebuilding
-///    H(x) and reusing the cached Q0 — still ~2x faster than `spa()`.
+///    changes a set C of k D-FACTS branches is the rank-k update
+///    H(x) = H0 + U_C D A_C^T, and the principal angles satisfy
+///    tan(Theta) = sigma(R_u[:,C] G R_z[:,C]^T) with
+///    G = (I_k + D Psi_CC)^{-1} D (tan-Theta form plus Woodbury; DESIGN.md
+///    "The SPA hot path"). R_u, R_z and Psi are m x m blocks over the m
+///    D-FACTS branches, built once here, so a candidate costs one k x k LU
+///    and an m x m largest singular value — independent of the bus count —
+///    and matches `spa()` to ~1e-15 rad;
+///  * a candidate that changes a non-D-FACTS branch, whose k x k system is
+///    singular (an angle of exactly pi/2), or any candidate when the
+///    attacker matrix is arbitrary, goes through `gamma_full`: rebuild
+///    H(x) and reuse the cached Q0.
+///
+/// Immutable after construction: `gamma`/`gamma_full` are const and safe
+/// to call concurrently, so one evaluator serves every pool worker of a
+/// selection sweep.
 class SpaEvaluator {
  public:
   /// `h_attacker` must have the measurement dimensions of `sys`
@@ -75,8 +80,8 @@ class SpaEvaluator {
   /// CSR, e.g. from `grid::sparse_measurement_matrix`. Reference-reactance
   /// recognition and its verification run on the O(L + N) stored entries
   /// instead of the dense M x (N-1) block; only the attacker QR basis Q0
-  /// — inherently dense — is then materialized. The rank-k gamma() update
-  /// math is shared with the dense constructor unchanged.
+  /// — inherently dense — is then materialized. The closed-form blocks
+  /// are shared with the dense constructor unchanged.
   SpaEvaluator(const grid::PowerSystem& sys,
                const linalg::SparseMatrix& h_attacker);
 
@@ -88,8 +93,8 @@ class SpaEvaluator {
   /// gamma against an explicit post-perturbation matrix (cached-Q0 path).
   double gamma_full(const linalg::Matrix& h_new) const;
 
-  /// True when the rank-k incremental path is active (h_attacker was
-  /// recognized as a measurement matrix of the system).
+  /// True when the closed-form rank-k path is active (h_attacker was
+  /// recognized as a full-rank measurement matrix of the system).
   bool incremental() const { return incremental_; }
 
   /// The reference reactances recovered from h_attacker (only meaningful
@@ -97,9 +102,14 @@ class SpaEvaluator {
   const linalg::Vector& reference_reactances() const { return x_ref_; }
 
  private:
-  /// Shared tail of both constructors: thin-QR factorization of h0_ (the
-  /// incremental path when `recovered`, the cached-Q0 fallback otherwise).
-  void build_basis(bool recovered);
+  /// Shared tail of both constructors: thin-QR factorization of `h0`, plus
+  /// the closed-form blocks when `recovered` and `h0` has full column rank
+  /// (the cached-Q0 fallback otherwise).
+  void build_basis(const linalg::Matrix& h0, bool recovered);
+
+  /// The per-D-FACTS blocks of the closed form (dfacts_slot_, psi_, ru_,
+  /// yz_) from q0_ and the attacker's triangular factor `r0`.
+  void build_closed_form(const linalg::Matrix& r0);
 
   /// Recovers x_ref/d_ref from the forward-flow rows; `flow_entry(l, c)`
   /// reads H(l, c). Returns false when any branch yields no positive
@@ -107,12 +117,19 @@ class SpaEvaluator {
   template <typename FlowEntry>
   bool recover_reference(const FlowEntry& flow_entry);
 
+  static constexpr std::size_t kNotDfacts = static_cast<std::size_t>(-1);
+
   grid::PowerSystem sys_;       // value copy: the evaluator owns its model
-  linalg::Matrix h0_;           // attacker matrix
-  linalg::Matrix q0_;           // orthonormal basis of Col(h0)
-  linalg::Matrix r0_;           // triangular factor (incremental mode only)
+  linalg::Matrix q0_;           // orthonormal basis of Col(h_attacker)
   linalg::Vector x_ref_;        // recovered reference reactances
   linalg::Vector d_ref_;        // susceptances at x_ref
+  // Closed-form blocks, one row/column per D-FACTS branch (incremental
+  // mode only): slot of each branch (kNotDfacts elsewhere), Psi = Z^T P,
+  // R_u of U_perp, and Y with Z^T = Y Q_z^T.
+  std::vector<std::size_t> dfacts_slot_;
+  linalg::Matrix psi_;
+  linalg::Matrix ru_;
+  linalg::Matrix yz_;
   bool incremental_ = false;
 };
 

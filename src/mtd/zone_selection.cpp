@@ -49,7 +49,6 @@ void solve_zone(const grid::ZoneSystem& zs, std::size_t zone,
   }
 
   MtdSelectionOptions sel = options.selection;
-  sel.worker_cache = nullptr;  // per-zone systems differ; never share states
   sel.extra_starts +=
       static_cast<int>(round) * options.enlarge_extra_starts;
   stats::Rng rng = stats::make_stream(seed, round * num_zones + zone);
@@ -99,7 +98,7 @@ ZoneSelectionResult select_mtd_zones(const grid::PowerSystem& sys,
   // The full-model boundary check: the attacker's matrix is the nominal
   // full-network H, built sparse (O(L + N) entries) so mega-grid
   // construction stays tractable; the stitched candidates then ride the
-  // rank-k incremental gamma path.
+  // closed-form rank-k gamma path.
   const SpaEvaluator full_eval(sys, grid::sparse_measurement_matrix(sys));
 
   ZoneSelectionResult result;

@@ -33,7 +33,7 @@ enum class Work : std::size_t {
   kCgBreakdowns,             ///< CG breakdowns (p'Ap <= 0)
   kCholeskyFactorizations,   ///< sparse Cholesky factorization attempts
   kCholeskyFactorNnz,        ///< nonzeros of L summed over factorizations
-  kSpaFastPathEvals,         ///< SPA gamma via the rank-k incremental path
+  kSpaFastPathEvals,         ///< SPA gamma via the closed-form rank-k path
   kSpaFullEvals,             ///< SPA gamma via the full-matrix fallback
   kMcTrials,                 ///< Monte-Carlo detection trials
   kEngineHours,              ///< `mtd::DailyEngine::advance_hour` steps

@@ -66,8 +66,8 @@ class DispatchEvaluator {
   /// Optimal dispatch at reactances `x`; bit-identical to
   /// `solve_dc_opf(sys, x)`. Safe to call concurrently from several
   /// threads: all candidate-independent state is set at construction and
-  /// the instrumentation counters are atomic. (The selection sweep still
-  /// builds one evaluator per worker to keep cache lines unshared.)
+  /// the instrumentation counters are atomic. The selection sweep shares
+  /// one evaluator across all pool workers.
   DispatchResult evaluate(const linalg::Vector& x) const;
 
   /// Instrumentation: evaluations accepted at round 0 (the merit-order
