@@ -13,9 +13,7 @@
 // Exit codes: 0 composed and written, 1 I/O or composition failure,
 // 2 bad argv (usage on stderr).
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -29,19 +27,6 @@
 namespace {
 
 using namespace mtdgrid;
-
-// Strict bounded double parse (mirrors examples::parse_u64): exactly one
-// finite decimal number in [lo, hi], no trailing characters.
-bool parse_double(const char* arg, double lo, double hi, double& out) {
-  if (arg == nullptr || *arg == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(arg, &end);
-  if (errno != 0 || end == arg || *end != '\0' || v < lo || v > hi)
-    return false;
-  out = v;
-  return true;
-}
 
 // Comma-separated 1-based bus numbers ("5,12,49") -> 0-based indices.
 bool parse_boundary(const char* arg, std::vector<std::size_t>& out) {
@@ -88,19 +73,19 @@ int main(int argc, char** argv) {
   cli.flag_u64("--ring", 0, 1,
                [&](unsigned long long v) { options.ring = v != 0; });
   cli.flag_value("--tie-reactance", [&](const char* raw) {
-    return parse_double(raw, 1e-9, 1e3, options.tie_reactance);
+    return examples::parse_double(raw, 1e-9, 1e3, options.tie_reactance);
   });
   cli.flag_value("--tie-limit", [&](const char* raw) {
-    return parse_double(raw, 0.0, 1e9, options.tie_limit_mw);
+    return examples::parse_double(raw, 0.0, 1e9, options.tie_limit_mw);
   });
   cli.flag_value("--load-jitter", [&](const char* raw) {
-    return parse_double(raw, 0.0, 0.999, options.load_jitter);
+    return examples::parse_double(raw, 0.0, 0.999, options.load_jitter);
   });
   cli.flag_value("--gen-jitter", [&](const char* raw) {
-    return parse_double(raw, 0.0, 0.999, options.gen_jitter);
+    return examples::parse_double(raw, 0.0, 0.999, options.gen_jitter);
   });
   cli.flag_value("--cost-jitter", [&](const char* raw) {
-    return parse_double(raw, 0.0, 0.999, options.cost_jitter);
+    return examples::parse_double(raw, 0.0, 0.999, options.cost_jitter);
   });
   cli.flag_value("--boundary", [&](const char* raw) {
     return parse_boundary(raw, options.boundary_buses);

@@ -13,14 +13,15 @@
 //    `parse()`. Any violation prints one uniformly formatted usage block
 //    (synopsis, alternative invocations, the case-registry footer, notes)
 //    and the caller returns 2.
-//  * `parse_u64` — the strict base-10 bounded integer validator formerly
-//    duplicated across binaries.
+//  * `parse_u64` / `parse_double` — the strict bounded integer and
+//    finite-double validators formerly duplicated across binaries.
 //
 // The usage text is stderr-only, so the CI transcript diffs (stdout
 // byte-identical across --threads values) are unaffected.
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +45,22 @@ inline bool parse_u64(const char* arg, unsigned long long lo,
   errno = 0;
   const unsigned long long v = std::strtoull(arg, &end, 10);
   if (errno != 0 || end == arg || *end != '\0' || v < lo || v > hi)
+    return false;
+  out = v;
+  return true;
+}
+
+/// Strict bounded double parse: accepts exactly one finite decimal number
+/// in [lo, hi] with no trailing characters; returns false (out untouched)
+/// otherwise. NaN and infinities are rejected whatever the bounds.
+inline bool parse_double(const char* arg, double lo, double hi,
+                         double& out) {
+  if (arg == nullptr || *arg == '\0') return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(arg, &end);
+  if (errno != 0 || end == arg || *end != '\0' || !std::isfinite(v) ||
+      v < lo || v > hi)
     return false;
   out = v;
   return true;

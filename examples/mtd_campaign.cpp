@@ -11,9 +11,7 @@
 // Exit codes: 0 campaign completed, 1 runtime failure (unknown case,
 // infeasible configuration), 2 bad argv (usage on stderr).
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -23,18 +21,6 @@
 namespace {
 
 using namespace mtdgrid;
-
-// Strict bounded double parse (mirrors examples::parse_u64).
-bool parse_double(const char* arg, double lo, double hi, double& out) {
-  if (arg == nullptr || *arg == '\0') return false;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(arg, &end);
-  if (errno != 0 || end == arg || *end != '\0' || v < lo || v > hi)
-    return false;
-  out = v;
-  return true;
-}
 
 // Comma-separated bounded integers ("1,2,4").
 bool parse_u64_list(const char* arg, unsigned long long lo,
@@ -83,7 +69,12 @@ bool parse_policies(const char* arg, std::vector<attack::AttackerPolicy>& out) {
 int main(int argc, char** argv) {
   attack::CampaignOptions options;
   std::string case_name;
-  std::vector<attack::AttackerPolicy> policies;
+  // The full panel; with no panel flags it equals
+  // attack::default_attackers().
+  std::vector<attack::AttackerPolicy> policies = {
+      attack::AttackerPolicy::kZeroKnowledge,
+      attack::AttackerPolicy::kStaleKey, attack::AttackerPolicy::kProbe,
+      attack::AttackerPolicy::kOmniscient, attack::AttackerPolicy::kRamp};
   std::vector<unsigned long long> probe_budgets = {4, 32};
   std::size_t ramp_hours = 3;
 
@@ -115,7 +106,7 @@ int main(int argc, char** argv) {
   cli.flag_u64("--ramp-hours", 1, 24,
                [&](unsigned long long v) { ramp_hours = v; });
   cli.flag_value("--delta", [&](const char* raw) {
-    return parse_double(raw, 0.0, 10.0, options.daily.target_delta);
+    return examples::parse_double(raw, 0.0, 10.0, options.daily.target_delta);
   });
   // Search-budget knobs, named as in mtd_daemon: --evals bounds the
   // per-hour selection search, --base-evals the pass-1 baseline search,
@@ -141,8 +132,8 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 2;
   if (case_name.empty()) return cli.usage();
 
-  // An explicit --policies list builds the panel from the other flags:
-  // one cell per probe budget for "probe", one spec per other policy.
+  // The panel is built from the flags: one cell per probe budget for
+  // "probe", one spec per other policy.
   for (const attack::AttackerPolicy policy : policies) {
     if (policy == attack::AttackerPolicy::kProbe) {
       for (const unsigned long long budget : probe_budgets)

@@ -9,7 +9,7 @@
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 #include "opf/dc_opf.hpp"
-#include "serve/json.hpp"
+#include "serve/daemon.hpp"
 #include "stats/rng.hpp"
 
 namespace mtdgrid::attack {
@@ -24,19 +24,20 @@ struct KeyState {
   linalg::Vector reactances;     ///< the key's full reactance vector
 };
 
-/// One trajectory hour as the campaign scores it.
+/// One scored trajectory hour: owns what its `ScoredHour` view borrows.
 struct HourState {
-  bool scored = false;  ///< keyed, dispatched, and past the first re-key
+  std::size_t hour = 0;                  ///< trajectory hour
   std::shared_ptr<const KeyState> key;   ///< key in force this hour
   std::shared_ptr<const KeyState> prev;  ///< key retired at the last re-key
   linalg::Vector z_ref;  ///< noiseless measurements at the operating point
 };
 
-/// The defender trajectory of one re-keying schedule: the engine advances
-/// hourly (consuming `Rng(seed)` exactly as `run_daily_simulation` would);
-/// a freshly selected key is *adopted* only every `rekey_every` hours and
-/// held in between, with the OPF re-tracking the hourly load at the held
-/// reactances.
+/// The scored hours of one re-keying schedule's defender trajectory: the
+/// engine advances hourly (consuming `Rng(seed)` exactly as
+/// `run_daily_simulation` would); a freshly selected key is *adopted* only
+/// every `rekey_every` hours and held in between, with the OPF re-tracking
+/// the hourly load at the held reactances. Hours without a feasible key or
+/// dispatch are skipped.
 std::vector<HourState> defender_trajectory(const grid::PowerSystem& sys,
                                            const grid::DailyLoadTrace& trace,
                                            const CampaignOptions& options,
@@ -44,37 +45,31 @@ std::vector<HourState> defender_trajectory(const grid::PowerSystem& sys,
   mtd::DailyEngine engine(sys, trace, options.daily);
   stats::Rng rng(options.seed);
   std::vector<HourState> hours;
-  hours.reserve(options.horizon_hours);
   std::shared_ptr<const KeyState> key, prev;
   for (std::size_t h = 0; h < options.horizon_hours; ++h) {
     mtd::DailyHourOutcome out = engine.advance_hour(rng);
-    HourState hour;
+    linalg::Vector z_ref;
+    bool dispatched = false;
     if (h % rekey_every == 0 && out.record.feasible) {
       if (key) prev = key;
-      auto fresh = std::make_shared<KeyState>();
-      fresh->adopted_hour = h;
-      fresh->h = std::move(out.h_mtd);
-      fresh->reactances = std::move(out.reactances);
-      key = std::move(fresh);
-      hour.z_ref = std::move(out.z_ref);
-      hour.scored = true;
+      key = std::make_shared<const KeyState>(
+          KeyState{h, std::move(out.h_mtd), std::move(out.reactances)});
+      z_ref = std::move(out.z_ref);
+      dispatched = true;
     } else if (key) {
       // Held key: the defender keeps the reactances and re-dispatches for
       // this hour's loads (the engine applied them during advance_hour).
       const opf::DispatchResult d =
           opf::solve_dc_opf(engine.system(), key->reactances);
       if (d.feasible) {
-        hour.z_ref = grid::noiseless_measurements(
+        z_ref = grid::noiseless_measurements(
             engine.system(), key->reactances, d.theta_reduced);
-        hour.scored = true;
+        dispatched = true;
       }
     }
-    hour.key = key;
-    hour.prev = prev;
     // Scoring starts at the first re-keying boundary so the stale policy
     // is defined on exactly the hours every other policy sees.
-    hour.scored = hour.scored && key != nullptr && prev != nullptr;
-    hours.push_back(std::move(hour));
+    if (dispatched && prev) hours.push_back({h, key, prev, std::move(z_ref)});
   }
   return hours;
 }
@@ -113,13 +108,103 @@ std::vector<AttackerSpec> default_attackers() {
   return panel;
 }
 
-std::string to_json(const CampaignFrontier& frontier) {
+CampaignCell score_policy(const grid::PowerSystem& sys,
+                          const linalg::Matrix& h_nominal,
+                          const AttackerSpec& attacker,
+                          const std::vector<ScoredHour>& hours,
+                          std::uint64_t root, std::uint64_t probe_root,
+                          const mtd::DailySimulationOptions& daily,
+                          const KeyEstimationOptions& estimation) {
+  CampaignCell cell;
+  cell.attacker = attacker;
+  mtd::EffectivenessOptions eff = daily.effectiveness;
+  eff.deltas = {daily.target_delta};
+  double detection_sum = 0.0;
+  double eta_sum = 0.0;
+  for (const ScoredHour& hour : hours) {
+    KeyEstimate estimate;  // keeps the probe H alive
+    const linalg::Matrix* h_attacker = &h_nominal;
+    bool crossed_boundary = false;
+    switch (attacker.policy) {
+      case AttackerPolicy::kZeroKnowledge:
+        break;
+      case AttackerPolicy::kStaleKey:
+        h_attacker = hour.retired.h;
+        crossed_boundary = true;  // the replayed key is retired
+        break;
+      case AttackerPolicy::kProbe:
+        estimate = probe_and_estimate_key(
+            sys, *hour.z_ref, daily.effectiveness.sigma_mw, probe_root,
+            hour.hour, attacker.probe_budget, estimation);
+        h_attacker = &estimate.h;
+        cell.probes_used += static_cast<std::uint64_t>(attacker.probe_budget);
+        break;
+      case AttackerPolicy::kOmniscient:
+        h_attacker = hour.key.h;
+        break;
+      case AttackerPolicy::kRamp: {
+        // Knowledge locked at the ramp window's first hour; magnitude ramps
+        // linearly across the window. Until the defender re-keys
+        // mid-window the attack stays stealthy; afterwards the locked key
+        // is a boundary-crossing replay.
+        const std::size_t h0 =
+            (hour.hour / attacker.ramp_hours) * attacker.ramp_hours;
+        // The key in force at h0: the latest adopted at or before h0 (every
+        // re-key after the first key is a scored hour, and the first key is
+        // the first scored hour's retired one). Null before the first key.
+        const linalg::Matrix* locked = nullptr;
+        for (const ScoredHour& past : hours) {
+          if (past.retired.adopted_hour > h0) break;
+          locked = past.key.adopted_hour <= h0 ? past.key.h : past.retired.h;
+        }
+        h_attacker = locked ? locked : &h_nominal;
+        crossed_boundary = locked != hour.key.h;
+        eff.attack_relative_magnitude =
+            daily.effectiveness.attack_relative_magnitude *
+            (static_cast<double>(hour.hour - h0 + 1) /
+             static_cast<double>(attacker.ramp_hours));
+        break;
+      }
+    }
+    if (crossed_boundary) {
+      obs::add(obs::Work::kStaleReplays);
+      ++cell.boundary_replays;
+    }
+    stats::Rng rng = stats::make_stream(root, hour.hour);
+    const mtd::EffectivenessResult er = mtd::evaluate_effectiveness(
+        *h_attacker, *hour.key.h, *hour.z_ref, eff, rng);
+    cell.hourly_mean_detection.push_back(er.mean_detection);
+    cell.hourly_eta.push_back(er.eta[0]);
+    detection_sum += er.mean_detection;
+    eta_sum += er.eta[0];
+  }
+  cell.hours_scored = hours.size();
+  if (cell.hours_scored > 0) {
+    cell.mean_detection =
+        detection_sum / static_cast<double>(cell.hours_scored);
+    cell.eta = eta_sum / static_cast<double>(cell.hours_scored);
+  }
+  obs::add(obs::Work::kCampaignCells);
+  return cell;
+}
+
+void write_scores(const CampaignCell& cell, serve::Json& out) {
   using serve::Json;
   const auto number_array = [](const std::vector<double>& v) {
     Json arr{Json::Array{}};
     for (const double x : v) arr.push_back(Json(x));
     return arr;
   };
+  out.set("mean_detection", Json(cell.mean_detection));
+  out.set("eta", Json(cell.eta));
+  out.set("probes_used", Json(cell.probes_used));
+  out.set("boundary_replays", Json(cell.boundary_replays));
+  out.set("hourly_mean_detection", number_array(cell.hourly_mean_detection));
+  out.set("hourly_eta", number_array(cell.hourly_eta));
+}
+
+std::string to_json(const CampaignFrontier& frontier) {
+  using serve::Json;
   Json doc;
   doc.set("case", Json(frontier.case_name));
   doc.set("seed", Json(frontier.seed));
@@ -135,13 +220,7 @@ std::string to_json(const CampaignFrontier& frontier) {
       c.set("ramp_hours", Json(cell.attacker.ramp_hours));
     c.set("rekey_every", Json(cell.rekey_every));
     c.set("hours_scored", Json(cell.hours_scored));
-    c.set("mean_detection", Json(cell.mean_detection));
-    c.set("eta", Json(cell.eta));
-    c.set("probes_used", Json(cell.probes_used));
-    c.set("boundary_replays", Json(cell.boundary_replays));
-    c.set("hourly_mean_detection",
-          number_array(cell.hourly_mean_detection));
-    c.set("hourly_eta", number_array(cell.hourly_eta));
+    write_scores(cell, c);
     cells.push_back(std::move(c));
   }
   doc.set("cells", std::move(cells));
@@ -176,7 +255,6 @@ CampaignFrontier run_campaign(const grid::PowerSystem& sys,
   // The attacker's zero-knowledge matrix: H depends only on topology and
   // reactances, so the public nominal case data pins it exactly.
   const linalg::Matrix h_nominal = grid::measurement_matrix(sys);
-  const double sigma = opt.daily.effectiveness.sigma_mw;
   const std::uint64_t probe_root =
       stats::stream_seed(opt.seed, kProbeOracleTag);
   const std::uint64_t campaign_root =
@@ -184,79 +262,22 @@ CampaignFrontier run_campaign(const grid::PowerSystem& sys,
 
   std::uint64_t cell_index = 0;
   for (const std::size_t rekey : opt.rekey_every) {
-    const std::vector<HourState> hours =
+    const std::vector<HourState> trajectory =
         defender_trajectory(sys, trace, opt, rekey);
+    std::vector<ScoredHour> hours;
+    hours.reserve(trajectory.size());
+    for (const HourState& s : trajectory)
+      hours.push_back({s.hour,
+                       {s.key->adopted_hour, &s.key->h},
+                       {s.prev->adopted_hour, &s.prev->h},
+                       &s.z_ref});
     for (const AttackerSpec& spec : opt.attackers) {
-      CampaignCell cell;
-      cell.attacker = spec;
+      CampaignCell cell = score_policy(
+          sys, h_nominal, spec, hours,
+          stats::stream_seed(campaign_root, cell_index++), probe_root,
+          opt.daily, opt.estimation);
       cell.rekey_every = rekey;
-      const std::uint64_t cell_root =
-          stats::stream_seed(campaign_root, cell_index);
-      double detection_sum = 0.0;
-      double eta_sum = 0.0;
-      for (std::size_t h = 0; h < hours.size(); ++h) {
-        const HourState& hour = hours[h];
-        if (!hour.scored) continue;
-        mtd::EffectivenessOptions eff = opt.daily.effectiveness;
-        eff.deltas = {opt.daily.target_delta};
-        KeyEstimate estimate;             // keeps the probe H alive
-        const linalg::Matrix* h_attacker = &h_nominal;
-        bool crossed_boundary = false;
-        switch (spec.policy) {
-          case AttackerPolicy::kZeroKnowledge:
-            break;
-          case AttackerPolicy::kStaleKey:
-            h_attacker = &hour.prev->h;
-            crossed_boundary = true;  // the replayed key is retired
-            break;
-          case AttackerPolicy::kProbe:
-            estimate = probe_and_estimate_key(sys, hour.z_ref, sigma,
-                                              probe_root, h,
-                                              spec.probe_budget,
-                                              opt.estimation);
-            h_attacker = &estimate.h;
-            cell.probes_used +=
-                static_cast<std::uint64_t>(spec.probe_budget);
-            break;
-          case AttackerPolicy::kOmniscient:
-            h_attacker = &hour.key->h;
-            break;
-          case AttackerPolicy::kRamp: {
-            // Knowledge locked at the ramp window's first hour; magnitude
-            // ramps linearly across the window. Until the defender
-            // re-keys mid-window the attack stays stealthy; afterwards
-            // the locked key is a boundary-crossing replay.
-            const std::size_t h0 = (h / spec.ramp_hours) * spec.ramp_hours;
-            const std::shared_ptr<const KeyState>& locked = hours[h0].key;
-            h_attacker = locked ? &locked->h : &h_nominal;
-            crossed_boundary = locked != hour.key;
-            eff.attack_relative_magnitude *=
-                static_cast<double>(h - h0 + 1) /
-                static_cast<double>(spec.ramp_hours);
-            break;
-          }
-        }
-        if (crossed_boundary) {
-          obs::add(obs::Work::kStaleReplays);
-          ++cell.boundary_replays;
-        }
-        stats::Rng cell_rng = stats::make_stream(cell_root, h);
-        const mtd::EffectivenessResult er = mtd::evaluate_effectiveness(
-            *h_attacker, hour.key->h, hour.z_ref, eff, cell_rng);
-        cell.hourly_mean_detection.push_back(er.mean_detection);
-        cell.hourly_eta.push_back(er.eta[0]);
-        detection_sum += er.mean_detection;
-        eta_sum += er.eta[0];
-      }
-      cell.hours_scored = cell.hourly_mean_detection.size();
-      if (cell.hours_scored > 0) {
-        cell.mean_detection =
-            detection_sum / static_cast<double>(cell.hours_scored);
-        cell.eta = eta_sum / static_cast<double>(cell.hours_scored);
-      }
-      obs::add(obs::Work::kCampaignCells);
       frontier.cells.push_back(std::move(cell));
-      ++cell_index;
     }
   }
   return frontier;
@@ -264,20 +285,9 @@ CampaignFrontier run_campaign(const grid::PowerSystem& sys,
 
 CampaignFrontier run_campaign(const std::string& case_name,
                               const CampaignOptions& options) {
-  grid::PowerSystem sys = io::load_case(case_name);
-  // The serving daemon's default trace (serve::default_daemon_trace):
-  // the NYISO winter-weekday shape scaled from its 14-bus fit to this
-  // case's nominal total load, so a campaign and a daemon on the same
-  // case face the same defender.
-  const grid::DailyLoadTrace base =
-      grid::DailyLoadTrace::nyiso_winter_weekday();
-  constexpr double kCase14NominalMw = 259.0;
-  const double scale = sys.total_load_mw() / kCase14NominalMw;
-  std::vector<double> totals(base.size());
-  for (std::size_t h = 0; h < base.size(); ++h)
-    totals[h] = base.total_mw(h) * scale;
-  CampaignFrontier frontier = run_campaign(
-      sys, grid::DailyLoadTrace(std::move(totals)), options);
+  const grid::PowerSystem sys = io::load_case(case_name);
+  CampaignFrontier frontier =
+      run_campaign(sys, serve::default_daemon_trace(sys), options);
   frontier.case_name = case_name;  // report the registry name
   return frontier;
 }

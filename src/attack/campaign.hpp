@@ -8,6 +8,7 @@
 #include "grid/load_trace.hpp"
 #include "grid/power_system.hpp"
 #include "mtd/daily.hpp"
+#include "serve/json.hpp"
 
 namespace mtdgrid::attack {
 
@@ -96,6 +97,45 @@ struct CampaignFrontier {
   std::vector<CampaignCell> cells;
 };
 
+/// A defender key as the scorer sees it (the matrix is borrowed).
+struct ScoredKey {
+  std::size_t adopted_hour = 0;       ///< hour the key went live
+  const linalg::Matrix* h = nullptr;  ///< the key's measurement matrix H'
+};
+
+/// One hour a cell scores (pointers borrowed for the `score_policy` call).
+struct ScoredHour {
+  std::size_t hour = 0;  ///< substream index of the attacks; probe hour
+  ScoredKey key;         ///< the key in force this hour
+  ScoredKey retired;     ///< the key retired at the last re-key
+  const linalg::Vector* z_ref = nullptr;  ///< noiseless measurements (MW)
+};
+
+/// Scores one attacker against the key in force, hour by hour: the one
+/// policy-scoring routine of `run_campaign` and the daemon's `campaign`
+/// verb, which differ only in `root` and `hours` (increasing hour order).
+/// H_attacker is `h_nominal` (zero), the retired key (stale), the
+/// estimate from `attacker.probe_budget` probes on `(probe_root, hour)`
+/// (probe), the key in force (omniscient), or the key in force at the ramp
+/// window's first hour, with the magnitude ramped (ramp; every re-key
+/// after the first key must be a scored hour). Hour `hour` draws its
+/// attacks from `make_stream(root, hour)`; eta is reported at
+/// `daily.target_delta`. The cell's `rekey_every` is left at 1. Work
+/// counters: `kAttackerProbes` per oracle sample, `kStaleReplays` per
+/// boundary-crossing replay, one `kCampaignCells`.
+CampaignCell score_policy(const grid::PowerSystem& sys,
+                          const linalg::Matrix& h_nominal,
+                          const AttackerSpec& attacker,
+                          const std::vector<ScoredHour>& hours,
+                          std::uint64_t root, std::uint64_t probe_root,
+                          const mtd::DailySimulationOptions& daily,
+                          const KeyEstimationOptions& estimation);
+
+/// Appends a cell's six score fields, `mean_detection` to `hourly_eta`,
+/// to a JSON object: the shared tail of `to_json`'s cells and the daemon's
+/// `campaign` reply.
+void write_scores(const CampaignCell& cell, serve::Json& out);
+
 /// Serializes a frontier as one compact JSON object (stable field order,
 /// shortest-round-trip doubles) — the CLI report format, and what the
 /// determinism tests byte-compare across thread counts.
@@ -112,27 +152,20 @@ std::string to_json(const CampaignFrontier& frontier);
 /// where the defender has no feasible key or dispatch.
 ///
 /// Seeding contract: the engine consumes `Rng(seed)` exactly as
-/// `run_daily_simulation` would; the probe oracle is rooted at
-/// `stream_seed(seed, kProbeOracleTag)` — the daemon's derivation, so
-/// campaign probes match daemon probes sample for sample; cell `i` scores
-/// hour `h` on the substream `(stream_seed(campaign_root, i), h)` with
-/// `campaign_root = stream_seed(seed, kCampaignStreamTag)`. Every cell is
-/// therefore a bit-identical pure function of (seed, options) at any
-/// thread count — the only parallelism is inside
-/// `mtd::evaluate_effectiveness`, which already guarantees it.
-///
-/// Work counters: `kAttackerProbes` per oracle sample, `kStaleReplays`
-/// per boundary-crossing replay, `kCampaignCells` per completed cell (all
-/// deterministic, so they appear in default `metrics` replies).
+/// `run_daily_simulation` would; cell `i` is `score_policy` with root
+/// `stream_seed(campaign_root, i)`, `campaign_root = stream_seed(seed,
+/// kCampaignStreamTag)`, and the daemon's probe root
+/// `stream_seed(seed, kProbeOracleTag)`, so campaign probes match daemon
+/// probes sample for sample. Every cell is therefore a bit-identical pure
+/// function of (seed, options) at any thread count.
 CampaignFrontier run_campaign(const grid::PowerSystem& sys,
                               const grid::DailyLoadTrace& trace,
                               const CampaignOptions& options);
 
 /// Convenience: loads `case_name` through `io::load_case` (registry
-/// names, composed `<case>xN` grids, or a `.m` path) and replays the
-/// NYISO winter-weekday shape scaled to the case's nominal total load —
-/// the serving daemon's default trace, so a campaign and a daemon on the
-/// same case see the same defender.
+/// names, composed `<case>xN` grids, or a `.m` path) and replays
+/// `serve::default_daemon_trace`, so a campaign and a daemon on the same
+/// case see the same defender.
 CampaignFrontier run_campaign(const std::string& case_name,
                               const CampaignOptions& options);
 

@@ -54,17 +54,17 @@ ComposeResult compose_cases(const PowerSystem& base,
     throw std::invalid_argument("compose: copies must be >= 1");
   for (double j :
        {options.load_jitter, options.gen_jitter, options.cost_jitter}) {
-    if (j < 0.0 || j >= 1.0)
+    if (!(j >= 0.0 && j < 1.0))
       throw std::invalid_argument("compose: jitter must be in [0, 1)");
   }
   if (options.ties_per_interface == 0)
     throw std::invalid_argument("compose: ties_per_interface must be >= 1");
-  if (options.tie_reactance <= 0.0)
+  if (!(options.tie_reactance > 0.0))
     throw std::invalid_argument("compose: tie reactance must be positive");
-  if (options.tie_limit_mw < 0.0)
+  if (!(options.tie_limit_mw >= 0.0))
     throw std::invalid_argument("compose: tie limit must be >= 0");
-  if (options.tie_dfacts_min <= 0.0 ||
-      options.tie_dfacts_min > options.tie_dfacts_max)
+  if (!(options.tie_dfacts_min > 0.0 &&
+        options.tie_dfacts_min <= options.tie_dfacts_max))
     throw std::invalid_argument("compose: invalid tie D-FACTS range");
 
   std::vector<std::size_t> boundary = options.boundary_buses;

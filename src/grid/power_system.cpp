@@ -28,7 +28,7 @@ void PowerSystem::set_reactances(const linalg::Vector& x) {
   if (x.size() != num_branches())
     throw std::invalid_argument("set_reactances: wrong vector length");
   for (std::size_t l = 0; l < num_branches(); ++l) {
-    if (x[l] <= 0.0)
+    if (!(x[l] > 0.0))
       throw std::invalid_argument("set_reactances: non-positive reactance");
     branches_[l].reactance = x[l];
   }
@@ -145,7 +145,7 @@ void PowerSystem::validate() const {
   if (buses_.empty()) throw std::invalid_argument("power system has no buses");
   if (branches_.empty())
     throw std::invalid_argument("power system has no branches");
-  if (base_mva_ <= 0.0)
+  if (!(base_mva_ > 0.0))
     throw std::invalid_argument("base MVA must be positive");
 
   for (const Branch& br : branches_) {
@@ -153,13 +153,13 @@ void PowerSystem::validate() const {
       throw std::invalid_argument("branch endpoint out of range");
     if (br.from == br.to)
       throw std::invalid_argument("branch connects a bus to itself");
-    if (br.reactance <= 0.0)
+    if (!(br.reactance > 0.0))
       throw std::invalid_argument("branch reactance must be positive");
-    if (br.flow_limit_mw <= 0.0)
+    if (!(br.flow_limit_mw > 0.0))
       throw std::invalid_argument("branch flow limit must be positive");
     if (br.has_dfacts &&
-        (br.dfacts_min_factor <= 0.0 ||
-         br.dfacts_min_factor > br.dfacts_max_factor))
+        !(br.dfacts_min_factor > 0.0 &&
+          br.dfacts_min_factor <= br.dfacts_max_factor))
       throw std::invalid_argument("invalid D-FACTS reactance range");
   }
   for (const Generator& g : generators_) {

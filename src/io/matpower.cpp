@@ -270,7 +270,7 @@ std::optional<grid::PowerSystem> to_power_system(const MatpowerCase& mpc,
     return std::nullopt;
   };
   if (!mpc.has_base_mva) return missing("mpc.baseMVA");
-  if (mpc.base_mva <= 0.0) {
+  if (!(mpc.base_mva > 0.0)) {
     fail(error, mpc.base_mva_line, "mpc.baseMVA must be positive");
     return std::nullopt;
   }
@@ -369,7 +369,7 @@ std::optional<grid::PowerSystem> to_power_system(const MatpowerCase& mpc,
     }
     const double tap = row.size() > kBrTap ? row[kBrTap] : 0.0;
     br.reactance = row[kBrX] * (tap > 0.0 ? tap : 1.0);
-    if (br.reactance <= 0.0) {
+    if (!(br.reactance > 0.0)) {
       fail(error, line,
            "mpc.branch: branch " + std::to_string(r + 1) +
                " has non-positive reactance (the DC model needs x > 0)");

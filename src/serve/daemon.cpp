@@ -11,7 +11,6 @@
 #include "estimation/detection.hpp"
 #include "grid/measurement.hpp"
 #include "io/case_registry.hpp"
-#include "mtd/effectiveness.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/scope.hpp"
 #include "obs/trace.hpp"
@@ -196,7 +195,7 @@ bool MtdDaemon::needs_exec_lock(const Request& req) {
       // plain BDD and analytic methods are snapshot-pure and lock-free.
       return req.method == DetectMethod::kMonteCarlo;
     case Verb::kCampaign:
-      // Fans out on the shared thread pool (one evaluate_effectiveness
+      // Fans out on the shared thread pool (one effectiveness evaluation
       // per scored hour and policy), like Monte-Carlo detect.
       return true;
     default:
@@ -569,113 +568,68 @@ std::string MtdDaemon::reply_campaign(const Request& req) {
   const auto win = window();
   // Scorable boundaries: consecutive keyed snapshot pairs (prev, cur) —
   // the key retired at cur's re-keying step and the key it adopted.
-  std::vector<std::size_t> pairs;  // indices of `cur` within the window
-  for (std::size_t i = 1; i < win->size(); ++i)
-    if ((*win)[i - 1]->keyed && (*win)[i]->keyed) pairs.push_back(i);
-  if (req.has_hours && pairs.size() > req.hours)
-    pairs.erase(pairs.begin(), pairs.end() - static_cast<std::ptrdiff_t>(
+  std::vector<attack::ScoredHour> hours;
+  for (std::size_t i = 1; i < win->size(); ++i) {
+    const HourKeySnapshot& prev = *(*win)[i - 1];
+    const HourKeySnapshot& cur = *(*win)[i];
+    if (prev.keyed && cur.keyed)
+      hours.push_back({cur.hour,
+                       {cur.hour, &cur.estimator->h()},
+                       {prev.hour, &prev.estimator->h()},
+                       &cur.z_ref});
+  }
+  if (req.has_hours && hours.size() > req.hours)
+    hours.erase(hours.begin(), hours.end() - static_cast<std::ptrdiff_t>(
                                                  req.hours));
-  if (pairs.empty())
+  if (hours.empty())
     return error_line(
         {"not-keyed",
          "campaign needs two consecutive keyed retained hours (tick "
          "first)"});
   counters_.campaign.fetch_add(1, std::memory_order_relaxed);
 
-  static const attack::AttackerPolicy kAll[4] = {
+  std::vector<attack::AttackerPolicy> policies = {
       attack::AttackerPolicy::kZeroKnowledge,
       attack::AttackerPolicy::kStaleKey, attack::AttackerPolicy::kProbe,
       attack::AttackerPolicy::kOmniscient};
-  std::vector<attack::AttackerPolicy> policies;
   if (req.has_policy) {
-    attack::AttackerPolicy p = attack::AttackerPolicy::kZeroKnowledge;
-    attack::parse_attacker_policy(req.policy, p);  // validated at parse
-    policies.push_back(p);
-  } else {
-    policies.assign(kAll, kAll + 4);
+    policies.resize(1);
+    attack::parse_attacker_policy(req.policy, policies[0]);  // validated
   }
 
   // The zero-knowledge matrix: nominal reactances (the engine never
   // mutates them; ticks only move the loads, which H is independent of).
   const linalg::Matrix h_nominal =
       grid::measurement_matrix(engine_.system());
-  const double sigma = options_.daily.effectiveness.sigma_mw;
-  mtd::EffectivenessOptions eff = options_.daily.effectiveness;
-  eff.deltas = {options_.daily.target_delta};
 
   Json reply;
   reply.set("ok", Json(true));
   reply.set("op", Json("campaign"));
   if (req.has_id) reply.set("id", Json(req.id));
-  reply.set("first_hour", Json((*win)[pairs.front()]->hour));
-  reply.set("last_hour", Json((*win)[pairs.back()]->hour));
-  reply.set("hours_scored", Json(pairs.size()));
+  reply.set("first_hour", Json(hours.front().hour));
+  reply.set("last_hour", Json(hours.back().hour));
+  reply.set("hours_scored", Json(hours.size()));
   Json hours_json{Json::Array{}};
-  for (const std::size_t i : pairs)
-    hours_json.push_back(Json((*win)[i]->hour));
+  for (const attack::ScoredHour& hour : hours)
+    hours_json.push_back(Json(hour.hour));
   reply.set("hours", std::move(hours_json));
 
   const std::uint64_t request_root =
       stats::stream_seed(campaign_root_, req.id);
   Json out_policies{Json::Array{}};
   for (const attack::AttackerPolicy policy : policies) {
+    // Substream keyed by (policy, hour), not by evaluation order: a
+    // single-policy reply matches that policy's section of the
+    // all-policies reply for the same id and window.
+    const attack::CampaignCell scored = attack::score_policy(
+        engine_.system(), h_nominal, {policy, req.probes, 0}, hours,
+        stats::stream_seed(request_root, static_cast<std::uint64_t>(policy)),
+        probe_root_, options_.daily, {});
     Json cell;
     cell.set("policy", Json(attack::attacker_policy_name(policy)));
     if (policy == attack::AttackerPolicy::kProbe)
       cell.set("probe_budget", Json(req.probes));
-    double detection_sum = 0.0;
-    double eta_sum = 0.0;
-    std::uint64_t probes_used = 0;
-    std::uint64_t boundary_replays = 0;
-    Json hourly_detection{Json::Array{}};
-    Json hourly_eta{Json::Array{}};
-    // Substream keyed by (policy, hour), not by evaluation order: a
-    // single-policy reply matches that policy's section of the
-    // all-policies reply for the same id and window.
-    const std::uint64_t policy_root = stats::stream_seed(
-        request_root, static_cast<std::uint64_t>(policy));
-    for (const std::size_t i : pairs) {
-      const HourKeySnapshot& prev = *(*win)[i - 1];
-      const HourKeySnapshot& cur = *(*win)[i];
-      attack::KeyEstimate estimate;  // keeps the probe H alive
-      const linalg::Matrix* h_attacker = &h_nominal;
-      switch (policy) {
-        case attack::AttackerPolicy::kZeroKnowledge:
-          break;
-        case attack::AttackerPolicy::kStaleKey:
-          h_attacker = &prev.estimator->h();
-          ++boundary_replays;
-          obs::add(obs::Work::kStaleReplays);
-          break;
-        case attack::AttackerPolicy::kProbe:
-          estimate = attack::probe_and_estimate_key(
-              engine_.system(), cur.z_ref, sigma, probe_root_, cur.hour,
-              req.probes);
-          h_attacker = &estimate.h;
-          probes_used += static_cast<std::uint64_t>(req.probes);
-          break;
-        case attack::AttackerPolicy::kOmniscient:
-          h_attacker = &cur.estimator->h();
-          break;
-        case attack::AttackerPolicy::kRamp:
-          break;  // unreachable: not a wire policy (parse rejects it)
-      }
-      stats::Rng rng = stats::make_stream(policy_root, cur.hour);
-      const mtd::EffectivenessResult er = mtd::evaluate_effectiveness(
-          *h_attacker, cur.estimator->h(), cur.z_ref, eff, rng);
-      detection_sum += er.mean_detection;
-      eta_sum += er.eta[0];
-      hourly_detection.push_back(Json(er.mean_detection));
-      hourly_eta.push_back(Json(er.eta[0]));
-    }
-    const double n = static_cast<double>(pairs.size());
-    cell.set("mean_detection", Json(detection_sum / n));
-    cell.set("eta", Json(eta_sum / n));
-    cell.set("probes_used", Json(probes_used));
-    cell.set("boundary_replays", Json(boundary_replays));
-    cell.set("hourly_mean_detection", std::move(hourly_detection));
-    cell.set("hourly_eta", std::move(hourly_eta));
-    obs::add(obs::Work::kCampaignCells);
+    attack::write_scores(scored, cell);
     out_policies.push_back(std::move(cell));
   }
   reply.set("policies", std::move(out_policies));

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -263,14 +264,20 @@ TEST(ComposePropertyTest, OptionValidation) {
   opt = {};
   opt.load_jitter = 1.0;
   EXPECT_THROW(grid::compose_cases(base, opt), std::invalid_argument);
+  opt.load_jitter = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(grid::compose_cases(base, opt), std::invalid_argument);
   opt = {};
   opt.ties_per_interface = 0;
   EXPECT_THROW(grid::compose_cases(base, opt), std::invalid_argument);
   opt = {};
   opt.tie_reactance = 0.0;
   EXPECT_THROW(grid::compose_cases(base, opt), std::invalid_argument);
+  opt.tie_reactance = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(grid::compose_cases(base, opt), std::invalid_argument);
   opt = {};
   opt.tie_limit_mw = -1.0;
+  EXPECT_THROW(grid::compose_cases(base, opt), std::invalid_argument);
+  opt.tie_limit_mw = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(grid::compose_cases(base, opt), std::invalid_argument);
   opt = {};
   opt.boundary_buses = {base.num_buses()};

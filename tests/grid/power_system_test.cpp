@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "grid/cases.hpp"
@@ -45,6 +46,9 @@ TEST(PowerSystemTest, SetReactancesRejectsBadInput) {
   EXPECT_THROW(sys.set_reactances(linalg::Vector(2, 0.1)),
                std::invalid_argument);
   EXPECT_THROW(sys.set_reactances(linalg::Vector(3, -0.1)),
+               std::invalid_argument);
+  EXPECT_THROW(sys.set_reactances(linalg::Vector(
+                   3, std::numeric_limits<double>::quiet_NaN())),
                std::invalid_argument);
 }
 
@@ -148,6 +152,20 @@ TEST(PowerSystemTest, ValidationRejectsNegativeReactance) {
   std::vector<Generator> gens = {
       {.bus = 0, .min_mw = 0.0, .max_mw = 20.0, .cost_per_mwh = 1.0}};
   EXPECT_THROW(PowerSystem("neg", buses, branches, gens),
+               std::invalid_argument);
+  // NaN reactance, flow limit and D-FACTS range fail the same guards.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  branches[0].reactance = nan;
+  EXPECT_THROW(PowerSystem("nan", buses, branches, gens),
+               std::invalid_argument);
+  branches[0].reactance = 0.1;
+  branches[0].flow_limit_mw = nan;
+  EXPECT_THROW(PowerSystem("nan", buses, branches, gens),
+               std::invalid_argument);
+  branches[0].flow_limit_mw = 10.0;
+  branches[0].has_dfacts = true;
+  branches[0].dfacts_min_factor = nan;
+  EXPECT_THROW(PowerSystem("nan", buses, branches, gens),
                std::invalid_argument);
 }
 

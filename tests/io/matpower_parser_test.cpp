@@ -177,6 +177,10 @@ TEST(MatpowerParserTest, ZeroReactanceBranchReportsRowLine) {
   const ParseError e = build_failure(tiny_with("2 3 0 0.2", "2 3 0 0.0"));
   EXPECT_EQ(e.line, 18);
   EXPECT_NE(e.message.find("non-positive reactance"), std::string::npos);
+  // NaN fails the positivity guard too, with the same line and message.
+  const ParseError n = build_failure(tiny_with("2 3 0 0.2", "2 3 0 nan"));
+  EXPECT_EQ(n.line, 18);
+  EXPECT_EQ(n.message, e.message);
 }
 
 TEST(MatpowerParserTest, ReferenceBusMustComeFirst) {
