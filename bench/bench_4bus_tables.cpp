@@ -8,8 +8,8 @@
 #include "attack/fdi_attack.hpp"
 #include "bench_util.hpp"
 #include "estimation/state_estimator.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/spa.hpp"
 #include "opf/dc_opf.hpp"
 
@@ -18,7 +18,7 @@ namespace {
 using namespace mtdgrid;
 
 void run_tables() {
-  const grid::PowerSystem sys = grid::make_case4();
+  const grid::PowerSystem sys = io::load_case("case4");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
 
@@ -75,7 +75,7 @@ void run_tables() {
 }
 
 void BM_Case4Opf(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case4();
+  const grid::PowerSystem sys = io::load_case("case4");
   for (auto _ : state) {
     benchmark::DoNotOptimize(opf::solve_dc_opf(sys));
   }
@@ -83,7 +83,7 @@ void BM_Case4Opf(benchmark::State& state) {
 BENCHMARK(BM_Case4Opf);
 
 void BM_Case4ResidualEvaluation(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case4();
+  const grid::PowerSystem sys = io::load_case("case4");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   x[0] *= 1.2;

@@ -11,9 +11,9 @@
 #include <chrono>
 
 #include "bench_util.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/effectiveness.hpp"
 #include "mtd/selection.hpp"
 #include "opf/reactance_opf.hpp"
@@ -24,7 +24,7 @@ namespace {
 using namespace mtdgrid;
 
 struct Context {
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   linalg::Matrix h0;
   double base_cost = 0.0;
   linalg::Vector x_mtd;

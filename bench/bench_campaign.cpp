@@ -13,8 +13,8 @@
 
 #include "attack/campaign.hpp"
 #include "bench_util.hpp"
-#include "grid/cases.hpp"
 #include "grid/load_trace.hpp"
+#include "io/case_registry.hpp"
 
 namespace {
 
@@ -35,7 +35,7 @@ attack::CampaignOptions campaign_options(bench::Scale scale) {
 }
 
 void BM_CampaignFrontier(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const grid::DailyLoadTrace trace =
       grid::DailyLoadTrace::nyiso_winter_weekday();
   const attack::CampaignOptions options =

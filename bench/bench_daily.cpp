@@ -12,8 +12,8 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
-#include "grid/cases.hpp"
 #include "grid/load_trace.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/daily.hpp"
 #include "stats/rng.hpp"
 
@@ -33,7 +33,7 @@ const char* hour_label(std::size_t h) {
 
 void run_experiment() {
   const bench::Scale scale = bench::scale_from_env();
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const grid::DailyLoadTrace trace =
       grid::DailyLoadTrace::nyiso_winter_weekday();
 
@@ -72,7 +72,7 @@ void run_experiment() {
 }
 
 void BM_HourlyBaseOpf(benchmark::State& state) {
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   for (auto _ : state) {
     benchmark::DoNotOptimize(opf::solve_dc_opf(sys));
   }

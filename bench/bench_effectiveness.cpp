@@ -16,7 +16,6 @@
 
 #include "bench_util.hpp"
 #include "core/thread_pool.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
 #include "io/case_registry.hpp"
@@ -154,7 +153,7 @@ void run_experiment() {
       "the achievable\nceiling (the paper's axis reaches 0.45 rad; our "
       "D-FACTS model tops out at ~0.26 rad\nfrom the nominal reactances — "
       "see EXPERIMENTS.md). FP rate 5e-4.");
-  run_figure(grid::make_case14(),
+  run_figure(io::load_case("case14"),
              {0.025, 0.05, 0.075, 0.10, 0.125, 0.15, 0.175, 0.20, 0.225,
               0.25},
              /*use_problem4=*/true, scale, 101);
@@ -162,13 +161,13 @@ void run_experiment() {
   bench::print_header(
       "Fig. 6(b) — eta'(delta) vs gamma(H_t, H'_t'), IEEE 30-bus",
       "Same trend on the larger system (scalability check).");
-  run_figure(grid::make_case_ieee30(),
+  run_figure(io::load_case("ieee30"),
              {0.05, 0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40},
              /*use_problem4=*/false, scale, 202);
 }
 
 void BM_EffectivenessEvaluation(benchmark::State& state) {
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(7);
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
@@ -191,7 +190,7 @@ BENCHMARK(BM_EffectivenessEvaluation)->Arg(100)->Arg(500);
 // sample once for the whole candidate set, so the speedup approaches
 // (sample + score) / score per candidate.
 void BM_EffectivenessBatched(benchmark::State& state) {
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(7);
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   std::vector<linalg::Matrix> candidates;
@@ -257,7 +256,7 @@ BENCHMARK(BM_Case118EffectivenessParallel)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SpaComputation(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.25;

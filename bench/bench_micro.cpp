@@ -12,10 +12,10 @@
 #include "estimation/bdd.hpp"
 #include "estimation/detection.hpp"
 #include "estimation/state_estimator.hpp"
-#include "grid/cases.hpp"
 #include "grid/compose.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "linalg/subspace.hpp"
 #include "linalg/svd.hpp"
 #include "mtd/spa.hpp"
@@ -29,27 +29,12 @@ namespace {
 
 using namespace mtdgrid;
 
-grid::PowerSystem system_for(int id) {
-  switch (id) {
-    case 0: return grid::make_case4();
-    case 1: return grid::make_case_wscc9();
-    case 2: return grid::make_case14();
-    case 3: return grid::make_case_ieee30();
-    case 4: return grid::make_case57();
-    default: return grid::make_case118();
-  }
-}
+// range(0) of the per-case benchmarks indexes this table of registry
+// names; each benchmark loads its case before its timed loop.
+constexpr const char* kSystems[] = {"case4",  "wscc9",  "case14",
+                                    "ieee30", "case57", "case118"};
 
-const char* system_name(int id) {
-  switch (id) {
-    case 0: return "case4";
-    case 1: return "wscc9";
-    case 2: return "ieee14";
-    case 3: return "ieee30";
-    case 4: return "case57";
-    default: return "case118";
-  }
-}
+grid::PowerSystem system_for(int id) { return io::load_case(kSystems[id]); }
 
 void BM_MeasurementMatrix(benchmark::State& state) {
   const grid::PowerSystem sys = system_for(static_cast<int>(state.range(0)));
@@ -57,7 +42,7 @@ void BM_MeasurementMatrix(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(grid::measurement_matrix(sys, x));
   }
-  state.SetLabel(system_name(static_cast<int>(state.range(0))));
+  state.SetLabel(sys.name());
 }
 BENCHMARK(BM_MeasurementMatrix)->DenseRange(0, 5);
 
@@ -71,7 +56,7 @@ void BM_DcPowerFlow(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(grid::solve_dc_power_flow(sys, x, injections));
   }
-  state.SetLabel(system_name(static_cast<int>(state.range(0))));
+  state.SetLabel(sys.name());
 }
 BENCHMARK(BM_DcPowerFlow)->DenseRange(0, 5);
 
@@ -80,7 +65,7 @@ void BM_DispatchLp(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(opf::solve_dc_opf(sys));
   }
-  state.SetLabel(system_name(static_cast<int>(state.range(0))));
+  state.SetLabel(sys.name());
 }
 BENCHMARK(BM_DispatchLp)->DenseRange(0, 5)->Unit(benchmark::kMicrosecond);
 
@@ -91,12 +76,12 @@ void BM_EstimatorConstruction(benchmark::State& state) {
     estimation::StateEstimator est(h, 1.0);
     benchmark::DoNotOptimize(est);
   }
-  state.SetLabel(system_name(static_cast<int>(state.range(0))));
+  state.SetLabel(sys.name());
 }
 BENCHMARK(BM_EstimatorConstruction)->DenseRange(0, 5);
 
 void BM_WlsEstimate(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   const estimation::StateEstimator est(h, 1.0);
   stats::Rng rng(1);
@@ -117,25 +102,10 @@ BENCHMARK(BM_WlsEstimate);
 // case300, 2 = the composed case118x3 tile (the same artifact shape CI's
 // composed-case gate audits). The CI perf gate asserts the sparse case300
 // variant beats the dense one by >= 3x.
-grid::PowerSystem se_system_for(int id) {
-  switch (id) {
-    case 0: return grid::make_case118();
-    case 1: return grid::make_case300();
-    default: {
-      grid::ComposeOptions opt;
-      opt.copies = 3;
-      return grid::compose_cases(grid::make_case118(), opt).system;
-    }
-  }
-}
-
-const char* se_system_name(int id) {
-  return id == 0 ? "case118" : id == 1 ? "case300" : "case118x3";
-}
+constexpr const char* kSeSystems[] = {"case118", "case300", "case118x3"};
 
 void BM_SparseVsDenseStateEstimationDense(benchmark::State& state) {
-  const grid::PowerSystem sys =
-      se_system_for(static_cast<int>(state.range(0)));
+  const grid::PowerSystem sys = io::load_case(kSeSystems[state.range(0)]);
   const linalg::Matrix h = grid::measurement_matrix(sys);
   stats::Rng rng(5);
   linalg::Vector z(h.rows());
@@ -144,15 +114,14 @@ void BM_SparseVsDenseStateEstimationDense(benchmark::State& state) {
     const oracles::DenseStateEstimator est(h, 1.0);
     benchmark::DoNotOptimize(est.estimate(z));
   }
-  state.SetLabel(se_system_name(static_cast<int>(state.range(0))));
+  state.SetLabel(sys.name());
 }
 BENCHMARK(BM_SparseVsDenseStateEstimationDense)
     ->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_SparseVsDenseStateEstimationSparse(benchmark::State& state) {
-  const grid::PowerSystem sys =
-      se_system_for(static_cast<int>(state.range(0)));
+  const grid::PowerSystem sys = io::load_case(kSeSystems[state.range(0)]);
   const linalg::SparseMatrix h = grid::sparse_measurement_matrix(sys);
   stats::Rng rng(5);
   linalg::Vector z(h.rows());
@@ -161,14 +130,14 @@ void BM_SparseVsDenseStateEstimationSparse(benchmark::State& state) {
     const estimation::StateEstimator est(h, 1.0);
     benchmark::DoNotOptimize(est.estimate(z));
   }
-  state.SetLabel(se_system_name(static_cast<int>(state.range(0))));
+  state.SetLabel(sys.name());
 }
 BENCHMARK(BM_SparseVsDenseStateEstimationSparse)
     ->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ResidualNorm(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   const estimation::StateEstimator est(h, 1.0);
   stats::Rng rng(2);
@@ -189,12 +158,12 @@ void BM_Spa(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(mtd::spa(h0, h1));
   }
-  state.SetLabel(system_name(static_cast<int>(state.range(0))));
+  state.SetLabel(sys.name());
 }
 BENCHMARK(BM_Spa)->DenseRange(0, 4);
 
 void BM_AnalyticDetectionProbability(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.3;
@@ -243,7 +212,7 @@ std::vector<linalg::Vector> selection_candidates(
 constexpr int kSelectionSweep = 16;
 
 void BM_Case57SelectionLoopSvd(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case57();
+  const grid::PowerSystem sys = io::load_case("case57");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const auto candidates = selection_candidates(sys, kSelectionSweep);
   for (auto _ : state) {
@@ -260,7 +229,7 @@ void BM_Case57SelectionLoopSvd(benchmark::State& state) {
 BENCHMARK(BM_Case57SelectionLoopSvd)->Unit(benchmark::kMillisecond);
 
 void BM_Case57SelectionLoopFast(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case57();
+  const grid::PowerSystem sys = io::load_case("case57");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const auto candidates = selection_candidates(sys, kSelectionSweep);
   const mtd::SpaEvaluator spa_eval(sys, h0);
@@ -282,7 +251,7 @@ void BM_Case118SelectionLoopFast(benchmark::State& state) {
   // The amortized selection sweep at IEEE 118-bus scale (490 x 117
   // measurement model, loaded through the io subsystem). Guarded in CI
   // against bench/baseline.json like the case57 loops.
-  const grid::PowerSystem sys = grid::make_case118();
+  const grid::PowerSystem sys = io::load_case("case118");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const auto candidates = selection_candidates(sys, kSelectionSweep);
   const mtd::SpaEvaluator spa_eval(sys, h0);
@@ -310,7 +279,7 @@ void BM_ZoneSelectionCase118x9(benchmark::State& state) {
   grid::ComposeOptions copt;
   copt.copies = 9;
   const grid::ComposeResult composed =
-      grid::compose_cases(grid::make_case118(), copt);
+      grid::compose_cases(io::load_case("case118"), copt);
   const grid::ZonePartition partition = composed.zones();
   mtd::ZoneSelectionOptions opt;
   opt.selection.gamma_threshold = 0.01;
@@ -336,7 +305,7 @@ void BM_SpaIncremental(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(eval.gamma(x));
   }
-  state.SetLabel(system_name(static_cast<int>(state.range(0))));
+  state.SetLabel(sys.name());
 }
 BENCHMARK(BM_SpaIncremental)->DenseRange(0, 5);
 
@@ -349,12 +318,12 @@ void BM_LargestPrincipalAngleQr(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(linalg::largest_principal_angle_qr(h0, h1));
   }
-  state.SetLabel(system_name(static_cast<int>(state.range(0))));
+  state.SetLabel(sys.name());
 }
 BENCHMARK(BM_LargestPrincipalAngleQr)->DenseRange(0, 5);
 
 void BM_IncrementalHUpdate(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case57();
+  const grid::PowerSystem sys = io::load_case("case57");
   const linalg::Vector x0 = sys.reactances();
   linalg::Vector x1 = x0;
   for (std::size_t l : sys.dfacts_branches()) x1[l] *= 1.3;
@@ -374,7 +343,7 @@ void BM_IncrementalHUpdate(benchmark::State& state) {
 BENCHMARK(BM_IncrementalHUpdate);
 
 void BM_DispatchEvaluatorCase57(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case57();
+  const grid::PowerSystem sys = io::load_case("case57");
   const opf::DispatchEvaluator evaluator(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.3;

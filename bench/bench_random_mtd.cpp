@@ -10,9 +10,9 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/effectiveness.hpp"
 #include "mtd/random_mtd.hpp"
 #include "mtd/spa.hpp"
@@ -38,7 +38,7 @@ struct Baseline {
 };
 
 Baseline make_baseline() {
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   Baseline b{std::move(sys), {}, {}};
   b.h0 = grid::measurement_matrix(b.sys);
@@ -105,7 +105,7 @@ void run_fig8(const Baseline& b, bench::Scale scale) {
 }
 
 void BM_RandomPerturbationDraw(benchmark::State& state) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(3);
   const linalg::Vector x0 = sys.reactances();
   for (auto _ : state) {

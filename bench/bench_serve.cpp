@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "grid/cases.hpp"
 #include "grid/load_trace.hpp"
+#include "io/case_registry.hpp"
 #include "serve/daemon.hpp"
 #include "serve/json.hpp"
 #include "serve/sharded.hpp"
@@ -47,7 +47,7 @@ serve::MtdDaemon& shared_daemon() {
     options.daily.selection.extra_starts = 1;
     options.daily.selection.search.max_evaluations = 150;
     return std::make_unique<serve::MtdDaemon>(
-        grid::make_case14(), grid::DailyLoadTrace::nyiso_winter_weekday(),
+        io::load_case("case14"), grid::DailyLoadTrace::nyiso_winter_weekday(),
         options);
   }();
   return *daemon;
@@ -94,7 +94,7 @@ serve::ShardedDaemon& shared_fleet() {
     options.daily.selection.search.max_evaluations = 150;
     std::vector<std::pair<grid::PowerSystem, grid::DailyLoadTrace>> systems;
     for (int k = 0; k < 4; ++k)
-      systems.emplace_back(grid::make_case14(),
+      systems.emplace_back(io::load_case("case14"),
                            grid::DailyLoadTrace::nyiso_winter_weekday());
     return std::make_unique<serve::ShardedDaemon>(std::move(systems),
                                                   options);

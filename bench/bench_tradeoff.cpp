@@ -6,10 +6,10 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
-#include "grid/cases.hpp"
 #include "grid/load_trace.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/effectiveness.hpp"
 #include "mtd/selection.hpp"
 #include "opf/reactance_opf.hpp"
@@ -21,7 +21,7 @@ using namespace mtdgrid;
 
 void run_experiment() {
   const bench::Scale scale = bench::scale_from_env();
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   const grid::DailyLoadTrace trace =
       grid::DailyLoadTrace::nyiso_winter_weekday();
   const linalg::Vector base_loads = sys.loads_mw();
@@ -88,7 +88,7 @@ void run_experiment() {
 }
 
 void BM_Problem4Selection(benchmark::State& state) {
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(5);
   const opf::ReactanceOpfResult base = opf::solve_reactance_opf(sys, rng);
   const linalg::Matrix h0 = grid::measurement_matrix(sys, base.reactances);

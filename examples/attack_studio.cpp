@@ -13,11 +13,12 @@
 #include <cstdlib>
 
 #include "attack/fdi_attack.hpp"
+#include "cli.hpp"
 #include "estimation/bdd.hpp"
 #include "estimation/detection.hpp"
 #include "estimation/state_estimator.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "linalg/qr.hpp"
 #include "mtd/spa.hpp"
 #include "stats/rng.hpp"
@@ -29,16 +30,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: %s [eta]  (0 < eta <= 1)\n", argv[0]);
     return 2;
   }
-  if (argc == 2) {
-    char* end = nullptr;
-    eta = std::strtod(argv[1], &end);
-    if (end == argv[1] || *end != '\0' || !(eta > 0.0) || eta > 1.0) {
-      std::fprintf(stderr, "usage: %s [eta]  (0 < eta <= 1)\n", argv[0]);
-      return 2;
-    }
+  if (argc == 2 &&
+      (!examples::parse_double(argv[1], 0.0, 1.0, eta) || eta == 0.0)) {
+    std::fprintf(stderr, "usage: %s [eta]  (0 < eta <= 1)\n", argv[0]);
+    return 2;
   }
 
-  const grid::PowerSystem sys = grid::make_case4();
+  const grid::PowerSystem sys = io::load_case("case4");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const double sigma = 0.05;
 

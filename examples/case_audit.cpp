@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "grid/compose.hpp"
 #include "grid/power_flow.hpp"
 #include "io/case_registry.hpp"
@@ -215,11 +216,7 @@ int main(int argc, char** argv) {
       suggest_limits = true;
     } else if (std::strcmp(argv[i], "--zones") == 0) {
       ++i;
-      if (i >= argc) return usage(argv[0]);
-      char* end = nullptr;
-      num_zones = std::strtoull(argv[i], &end, 10);
-      if (end == argv[i] || *end != '\0' || num_zones < 2 ||
-          num_zones > 10000)
+      if (i >= argc || !examples::parse_u64(argv[i], 2, 10000, num_zones))
         return usage(argv[0]);
     } else if (argv[i][0] == '-') {
       return usage(argv[0]);

@@ -10,11 +10,13 @@
 // Usage: daily_operations [trough_mw peak_mw]
 //   With no arguments, the NYISO-shaped winter-weekday trace is used.
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
-#include "grid/cases.hpp"
+#include "cli.hpp"
 #include "grid/load_trace.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/daily.hpp"
 #include "stats/rng.hpp"
 
@@ -33,12 +35,12 @@ int main(int argc, char** argv) {
 
   grid::DailyLoadTrace trace = grid::DailyLoadTrace::nyiso_winter_weekday();
   if (argc == 3) {
-    char* end1 = nullptr;
-    char* end2 = nullptr;
-    const double trough = std::strtod(argv[1], &end1);
-    const double peak = std::strtod(argv[2], &end2);
-    if (end1 == argv[1] || *end1 != '\0' || end2 == argv[2] ||
-        *end2 != '\0' || !(trough > 0.0) || peak < trough)
+    constexpr double kMaxMw = std::numeric_limits<double>::max();
+    double trough = 0.0;
+    double peak = 0.0;
+    if (!examples::parse_double(argv[1], 0.0, kMaxMw, trough) ||
+        trough == 0.0 ||
+        !examples::parse_double(argv[2], trough, kMaxMw, peak))
       return usage();
     trace = grid::DailyLoadTrace::synthetic(trough, peak, /*peak_hour=*/18,
                                             /*jitter=*/0.02, rng);
@@ -46,7 +48,7 @@ int main(int argc, char** argv) {
                 trough, peak);
   }
 
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   mtd::DailySimulationOptions options;
   options.effectiveness.num_attacks = 300;
   options.selection.extra_starts = 4;

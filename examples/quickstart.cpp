@@ -15,9 +15,9 @@
 #include "estimation/bdd.hpp"
 #include "estimation/detection.hpp"
 #include "estimation/state_estimator.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/selection.hpp"
 #include "mtd/spa.hpp"
 #include "opf/reactance_opf.hpp"
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   stats::Rng rng(42);
 
   // --- 1. The grid and its optimal operating point -----------------------
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   std::printf("IEEE 14-bus: %zu buses, %zu lines, load %.0f MW\n",
               sys.num_buses(), sys.num_branches(), sys.total_load_mw());

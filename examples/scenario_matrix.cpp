@@ -5,7 +5,7 @@
 // case to refresh it.
 //
 // Usage: scenario_matrix [--threads N] [case-or-path ...]
-//   With no arguments, prints every file-backed or builtin case in the
+//   With no arguments, prints every file-backed case in the
 //   registry (case4 through case300). Composed mega-grids ("case118x9",
 //   or any "<case>xN") are skipped by default — the dense QR this table
 //   runs is not sized for 1000+ buses — but may be requested by
@@ -41,10 +41,10 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 2;
   if (specs.empty())
     for (const auto& e : io::CaseRegistry::global().entries()) {
-      // Composed entries (no backing file, no builtin factory) expand to
-      // mega-grids the dense pipeline below cannot chew through; keep the
-      // no-argument table fast and let callers name them explicitly.
-      if (e.file.empty() && e.factory == nullptr) continue;
+      // Composed entries (no backing file) expand to mega-grids the dense
+      // pipeline below cannot chew through; keep the no-argument table
+      // fast and let callers name them explicitly.
+      if (e.file.empty()) continue;
       specs.push_back(e.name);
     }
 

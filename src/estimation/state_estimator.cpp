@@ -16,23 +16,21 @@ StateEstimator::StateEstimator(linalg::Matrix h, linalg::Vector sigmas)
   h_ = std::move(h);
 }
 
-StateEstimator::StateEstimator(linalg::SparseMatrix h, double sigma,
-                               const linalg::SolverOptions& options)
+StateEstimator::StateEstimator(linalg::SparseMatrix h, double sigma)
     : sparse_h_(std::make_shared<const linalg::SparseMatrix>(std::move(h))),
       sigmas_(sparse_h_->rows(), sigma) {
   if (sigma <= 0.0)
     throw std::invalid_argument("state estimator: sigma must be positive");
-  initialize(options);
+  initialize();
 }
 
-StateEstimator::StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas,
-                               const linalg::SolverOptions& options)
+StateEstimator::StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas)
     : sparse_h_(std::make_shared<const linalg::SparseMatrix>(std::move(h))),
       sigmas_(std::move(sigmas)) {
   if (sigmas_.size() != sparse_h_->rows())
     throw std::invalid_argument("state estimator: sigma vector length");
   validate_sigmas();
-  initialize(options);
+  initialize();
 }
 
 void StateEstimator::validate_sigmas() const {
@@ -41,14 +39,14 @@ void StateEstimator::validate_sigmas() const {
       throw std::invalid_argument("state estimator: sigma must be positive");
 }
 
-void StateEstimator::initialize(const linalg::SolverOptions& options) {
+void StateEstimator::initialize() {
   if (sparse_h_->rows() <= sparse_h_->cols())
     throw std::invalid_argument(
         "state estimator: needs more measurements than states");
   weights_ = linalg::Vector(sparse_h_->rows());
   for (std::size_t i = 0; i < sparse_h_->rows(); ++i)
     weights_[i] = 1.0 / (sigmas_[i] * sigmas_[i]);
-  solver_.emplace(*sparse_h_, weights_, options);
+  solver_.emplace(*sparse_h_, weights_);
   if (solver_->failed())
     throw std::runtime_error(
         "state estimator: measurement matrix is rank deficient");

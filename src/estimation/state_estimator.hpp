@@ -19,7 +19,7 @@ namespace mtdgrid::estimation {
 /// H is held in CSR whichever type it arrives as (a dense `Matrix` is
 /// compressed with `SparseMatrix::from_dense`). The Gram matrix is
 /// assembled sparsely and factored once at construction (minimum-degree
-/// sparse Cholesky, or preconditioned CG via `SolverOptions`); residuals
+/// sparse Cholesky, `linalg::NormalEquationsSolver`); residuals
 /// are computed as z - H theta_hat = (I - K) z with
 /// K = H (H^T W H)^{-1} H^T W, so the dense M x M operator I - K is never
 /// materialized. All queries are const and safe to call concurrently on
@@ -33,15 +33,11 @@ class StateEstimator {
   /// Builds the estimator with per-sensor noise standard deviations.
   StateEstimator(linalg::Matrix h, linalg::Vector sigmas);
 
-  /// Builds the estimator from a CSR `h` with homogeneous noise `sigma`;
-  /// `options` picks the solver method (sparse Cholesky by default, CG as
-  /// the mega-grid escape hatch).
-  StateEstimator(linalg::SparseMatrix h, double sigma,
-                 const linalg::SolverOptions& options = {});
+  /// Builds the estimator from a CSR `h` with homogeneous noise `sigma`.
+  StateEstimator(linalg::SparseMatrix h, double sigma);
 
   /// CSR `h` with per-sensor noise standard deviations.
-  StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas,
-                 const linalg::SolverOptions& options = {});
+  StateEstimator(linalg::SparseMatrix h, linalg::Vector sigmas);
 
   /// The dense measurement matrix a `Matrix` constructor was given; empty
   /// (0 x 0) after a `SparseMatrix` constructor.
@@ -79,7 +75,7 @@ class StateEstimator {
   double attack_residual_norm(const linalg::Vector& attack) const;
 
  private:
-  void initialize(const linalg::SolverOptions& options);
+  void initialize();
   void validate_sigmas() const;
 
   linalg::Matrix h_;

@@ -7,7 +7,6 @@
 #include <optional>
 #include <sstream>
 
-#include "grid/cases.hpp"
 #include "grid/compose.hpp"
 #include "io/matpower.hpp"
 
@@ -70,27 +69,25 @@ const CaseRegistry& CaseRegistry::global() {
   static const CaseRegistry registry = [] {
     CaseRegistry r;
     r.entries_ = {
-        {"case4", {"case4gs"}, "", &grid::make_case4,
+        {"case4", {"case4gs"}, "case4.m",
          "paper Section IV-B worked example (Grainger & Stevenson)"},
-        {"wscc9", {"case9"}, "", &grid::make_case_wscc9,
-         "WSCC 9-bus system"},
-        {"case14", {"ieee14"}, "case14.m", nullptr,
+        {"wscc9", {"case9"}, "wscc9.m", "WSCC 9-bus system"},
+        {"case14", {"ieee14"}, "case14.m",
          "IEEE 14-bus, paper Section VII-A settings"},
-        {"ieee30", {"case30"}, "", &grid::make_case_ieee30,
-         "IEEE 30-bus system"},
-        {"case57", {"ieee57"}, "case57.m", nullptr,
+        {"ieee30", {"case30"}, "ieee30.m", "IEEE 30-bus system"},
+        {"case57", {"ieee57"}, "case57.m",
          "IEEE 57-bus (MATPOWER case57 topology)"},
-        {"case118", {"ieee118"}, "case118.m", nullptr,
+        {"case118", {"ieee118"}, "case118.m",
          "IEEE 118-bus system, linearized merit-order costs"},
-        {"case300", {"ieee300"}, "case300.m", nullptr,
+        {"case300", {"ieee300"}, "case300.m",
          "300-bus large-scale scenario (slow; see data/case300.m header)"},
-        // Composed mega-grids (no file, no factory): synthesized on load
-        // by grid::compose_cases from the base entry under the default
+        // Composed mega-grids (no file): synthesized on load by
+        // grid::compose_cases from the base entry under the default
         // composition options — any "<base>xN" name works; these two are
         // the bundled scenarios the slow tests and benches pin.
-        {"case118x9", {}, "", nullptr,
+        {"case118x9", {}, "",
          "9 tiled IEEE 118-bus copies, 1062 buses (composed; slow)"},
-        {"case300x17", {}, "", nullptr,
+        {"case300x17", {}, "",
          "17 tiled 300-bus copies, 5100 buses (composed; slow)"},
     };
     return r;
@@ -142,7 +139,7 @@ bool CaseRegistry::knows(const std::string& name_or_path) const {
   // Composed grammar: "<base>xN" for any registered non-composed base.
   if (const auto composed = parse_composed(name_or_path)) {
     for (const CaseEntry& e : entries_) {
-      if (!e.file.empty() || e.factory != nullptr) {
+      if (!e.file.empty()) {
         if (e.name == composed->base) return true;
         for (const std::string& alias : e.aliases)
           if (alias == composed->base) return true;
@@ -169,7 +166,6 @@ grid::PowerSystem CaseRegistry::load(const std::string& name_or_path) const {
     for (const std::string& alias : e.aliases)
       match = match || alias == name_or_path;
     if (!match) continue;
-    if (e.factory != nullptr) return e.factory();
     if (!e.file.empty()) return load_file(data_dir() + "/" + e.file);
     break;  // a composed entry: fall through to the grammar below
   }
@@ -179,7 +175,7 @@ grid::PowerSystem CaseRegistry::load(const std::string& name_or_path) const {
   // 1062-bus system in every test, bench, and daemon.
   if (const auto composed = parse_composed(name_or_path)) {
     for (const CaseEntry& e : entries_) {
-      if (e.file.empty() && e.factory == nullptr) continue;
+      if (e.file.empty()) continue;
       bool match = e.name == composed->base;
       for (const std::string& alias : e.aliases)
         match = match || alias == composed->base;

@@ -16,21 +16,20 @@ class CaseIoError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One registered scenario. File-backed entries resolve against the data
-/// directory; builtin entries call a hand-coded factory from
-/// `grid/cases.hpp` (the small cases that predate the loader).
+/// One registered scenario. Every bundled case is a MATPOWER file that
+/// resolves against the data directory; an entry without a file is a
+/// composed "<base>xN" scenario synthesized on load.
 struct CaseEntry {
   std::string name;                  ///< canonical name ("case118")
   std::vector<std::string> aliases;  ///< accepted synonyms ("ieee118")
-  std::string file;                  ///< "<name>.m" for file-backed entries
-  grid::PowerSystem (*factory)() = nullptr;  ///< builtin factory, or null
+  std::string file;                  ///< "<file>.m", or "" when composed
   std::string description;           ///< one-liner for usage messages
 };
 
 /// Name-based access to every bundled scenario: the single entry point for
-/// tests, benches, and examples (ROADMAP "scale" item). File-backed cases
-/// are parsed from `data/` through the MATPOWER loader on every call — a
-/// PowerSystem is mutable (loads, reactances), so callers get a fresh one.
+/// tests, benches, and examples. Cases are parsed from `data/` through the
+/// MATPOWER loader on every call — a PowerSystem is mutable (loads,
+/// reactances), so callers get a fresh one.
 class CaseRegistry {
  public:
   /// The process-wide registry with every bundled case registered.

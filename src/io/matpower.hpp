@@ -62,7 +62,7 @@ std::optional<MatpowerCase> parse_matpower(std::string_view text,
 ///    bus must be the first row (the PowerSystem slack convention);
 ///  * out-of-service branches/generators (status column 0) are dropped;
 ///  * parallel circuits are kept as distinct branches — the DC model sums
-///    their susceptances, matching the hand-coded `make_case57()` rules;
+///    their susceptances (case57's 4-18 and 24-25 pairs rely on this);
 ///  * branch reactance is per-unit on `baseMVA`; an off-nominal tap a > 0
 ///    is folded into the DC reactance as x_eff = a * x;
 ///  * RATE_A == 0 ("unlimited" in MATPOWER) becomes `kUnlimitedFlowMw`;

@@ -18,10 +18,8 @@ constexpr WorkInfo kWorkInfo[kWorkCount] = {
      "PTDF flow-limit rows (one per violated branch, bounding |f| both "
      "ways) added by the dispatch constraint generation",
      true},
-    {"cg_solves", "Conjugate-gradient solves started", true},
     {"cg_iterations", "Conjugate-gradient iterations summed over solves",
      true},
-    {"cg_breakdowns", "Conjugate-gradient breakdowns (p'Ap <= 0)", true},
     {"cholesky_factorizations", "Sparse Cholesky factorization attempts",
      true},
     {"cholesky_factor_nnz",

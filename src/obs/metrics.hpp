@@ -28,9 +28,9 @@ enum class Work : std::size_t {
                              ///< fill (round 0, no LP solved)
   kDispatchFlowRows,         ///< PTDF flow-limit rows added by the
                              ///< dispatch's constraint generation
-  kCgSolves,                 ///< `linalg::preconditioned_cg` calls
-  kCgIterations,             ///< CG iterations summed over solves
-  kCgBreakdowns,             ///< CG breakdowns (p'Ap <= 0)
+  kCgIterations,             ///< always 0: no conjugate-gradient solver
+                             ///< remains; kept because perfbench reports
+                             ///< it as `linalg.cg_iterations`
   kCholeskyFactorizations,   ///< sparse Cholesky factorization attempts
   kCholeskyFactorNnz,        ///< nonzeros of L summed over factorizations
   kSpaFastPathEvals,         ///< SPA gamma via the closed-form rank-k path

@@ -13,8 +13,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/spa.hpp"
 #include "opf/dc_opf.hpp"
 #include "serve/daemon.hpp"
@@ -58,7 +58,7 @@ TEST(AdaptiveAttackTest, ProbeMeasurementMatchesDaemonProbeVerb) {
   options.daily.effectiveness.num_attacks = 40;
   options.daily.selection.extra_starts = 1;
   options.daily.selection.search.max_evaluations = 150;
-  serve::MtdDaemon daemon(grid::make_case14(),
+  serve::MtdDaemon daemon(io::load_case("case14"),
                           grid::DailyLoadTrace::nyiso_winter_weekday(),
                           options);
   const auto snap = daemon.current_snapshot();
@@ -82,7 +82,7 @@ TEST(AdaptiveAttackTest, ProbeMeasurementMatchesDaemonProbeVerb) {
 TEST(AdaptiveAttackTest, NoiselessProbeRecoversTheKeyExactly) {
   // With sigma = 0 one probe pins the flows exactly, so every D-FACTS
   // branch carrying measurable flow is identified to round-off.
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const KeyedPoint key = keyed_point(sys, 1.25);
   const KeyEstimate est =
       probe_and_estimate_key(sys, key.z_ref, 0.0, 123, 0, 1);
@@ -98,7 +98,7 @@ TEST(AdaptiveAttackTest, EstimateConvergesToKeyedSubspaceWithBudget) {
   // keyed one as the budget grows (noise on the mean flows shrinks as
   // 1/sqrt(B)), on both benchmark cases of the paper.
   for (const grid::PowerSystem& sys :
-       {grid::make_case14(), grid::make_case57()}) {
+       {io::load_case("case14"), io::load_case("case57")}) {
     const KeyedPoint key = keyed_point(sys, 1.3);
     const double gamma_nominal =
         mtd::spa(grid::measurement_matrix(sys), key.h);
@@ -121,7 +121,7 @@ TEST(AdaptiveAttackTest, EstimateConvergesToKeyedSubspaceWithBudget) {
 TEST(AdaptiveAttackTest, EstimateGoesStaleAcrossRekeyingBoundary) {
   // An estimate of key A aligns with A, not with the key B the defender
   // re-keys to: probing buys current knowledge only until the boundary.
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const KeyedPoint key_a = keyed_point(sys, 1.3);
   const KeyedPoint key_b = keyed_point(sys, 0.75);
   const KeyEstimate est =
@@ -133,7 +133,7 @@ TEST(AdaptiveAttackTest, EstimateGoesStaleAcrossRekeyingBoundary) {
 }
 
 TEST(AdaptiveAttackTest, ValidatesArguments) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const KeyedPoint key = keyed_point(sys, 1.2);
   EXPECT_THROW(probe_and_estimate_key(sys, key.z_ref, 0.05, 1, 0, 0),
                std::invalid_argument);

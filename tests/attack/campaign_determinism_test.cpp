@@ -13,8 +13,8 @@
 #include <vector>
 
 #include "core/thread_pool.hpp"
-#include "grid/cases.hpp"
 #include "grid/load_trace.hpp"
+#include "io/case_registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/scope.hpp"
 
@@ -47,7 +47,7 @@ CampaignRun run_once() {
   obs::MetricsRegistry registry;
   obs::ScopedRegistry scope(&registry);
   const CampaignFrontier frontier =
-      run_campaign(grid::make_case14(),
+      run_campaign(io::load_case("case14"),
                    grid::DailyLoadTrace::nyiso_winter_weekday(),
                    fast_options());
   CampaignRun run;
@@ -76,7 +76,7 @@ TEST(CampaignDeterminismTest, FrontierAndCountersBitIdenticalAcrossThreads) {
   // Sanity on the frontier itself: both schedules times the default
   // six-attacker panel, probes and replays actually counted.
   const CampaignFrontier frontier =
-      run_campaign(grid::make_case14(),
+      run_campaign(io::load_case("case14"),
                    grid::DailyLoadTrace::nyiso_winter_weekday(),
                    fast_options());
   ASSERT_EQ(frontier.cells.size(), 12u);

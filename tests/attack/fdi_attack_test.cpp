@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
 
@@ -11,7 +11,7 @@ namespace mtdgrid::attack {
 namespace {
 
 linalg::Matrix ieee14_h() {
-  return grid::measurement_matrix(grid::make_case_ieee14());
+  return grid::measurement_matrix(io::load_case("case14"));
 }
 
 TEST(FdiAttackTest, ConstructsAEqualsHc) {
@@ -82,7 +82,7 @@ TEST(FdiAttackTest, StealthyUnderScaledMatrix) {
 }
 
 TEST(FdiAttackTest, DetectableUnderGenuinePerturbation) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.4;
@@ -98,7 +98,7 @@ TEST(FdiAttackTest, SharedSubspaceAttackSurvivesPerturbation) {
   // A state offset that is constant across every D-FACTS branch's
   // endpoints produces identical measurements under both matrices — the
   // fundamental reason eta'(delta) cannot reach 1 (see mtd::spa notes).
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 0.6;
@@ -133,7 +133,7 @@ TEST(FdiAttackTest, ZeroDeviationAttackIsDegenerateAndAlwaysStealthy) {
   const FdiAttack atk = make_stealthy_attack(h, linalg::Vector(h.cols()));
   EXPECT_EQ(atk.a.norm1(), 0.0);
 
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.4;
   EXPECT_TRUE(remains_stealthy_under(grid::measurement_matrix(sys, x), atk));

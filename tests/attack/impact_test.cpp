@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
 
@@ -10,7 +10,7 @@ namespace mtdgrid::attack {
 namespace {
 
 TEST(AttackImpactTest, ZeroAttackHasNoImpact) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const AttackImpact impact = evaluate_attack_impact(
       sys, sys.reactances(), linalg::Vector(sys.num_buses() - 1));
   ASSERT_TRUE(impact.redispatch_feasible);
@@ -22,7 +22,7 @@ TEST(AttackImpactTest, LoadRedistributionRaisesCostOrOverloads) {
   // An attack that makes the congested bus-3 load look smaller lets the
   // operator under-serve it; the fooled dispatch is wrong for the real
   // system. Either the cost deviates or lines overload (usually both).
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   linalg::Vector c(sys.num_buses() - 1);
   c[1] = 0.02;  // bus 3 (reduced index 1): fake phase offset, ~tens of MW
   const AttackImpact impact =
@@ -33,7 +33,7 @@ TEST(AttackImpactTest, LoadRedistributionRaisesCostOrOverloads) {
 }
 
 TEST(AttackImpactTest, ImpactGrowsWithAttackMagnitude) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(3);
   linalg::Vector direction = test::random_vector(sys.num_buses() - 1, rng);
   direction /= direction.norm();
@@ -53,7 +53,7 @@ TEST(AttackImpactTest, ImpactGrowsWithAttackMagnitude) {
 TEST(AttackImpactTest, DiscussionComparisonMtdPremiumVsAttackDamage) {
   // Section VII-D's argument: the MTD premium (a few percent, cf. Fig. 10)
   // is small against what a single sustained undetected attack can do.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(4);
   double worst_damage_pct = 0.0;
   for (int trial = 0; trial < 20; ++trial) {
@@ -73,7 +73,7 @@ TEST(AttackImpactTest, InfeasibleTargetStateIsReportedNotCrashed) {
   // Edge case: an absurd state offset implies falsified loads the fleet
   // cannot serve. The evaluator must report redispatch_feasible = false
   // with zeroed damage fields instead of throwing or returning garbage.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   linalg::Vector c(sys.num_buses() - 1);
   for (std::size_t i = 0; i < c.size(); ++i)
     c[i] = (i % 2 == 0) ? 50.0 : -50.0;  // wildly implausible phase shifts
@@ -90,8 +90,8 @@ TEST(AttackImpactTest, InfeasibleTargetStateIsReportedNotCrashed) {
 TEST(AttackImpactTest, WorksAcrossCases) {
   stats::Rng rng(5);
   for (const grid::PowerSystem& sys :
-       {grid::make_case4(), grid::make_case_wscc9(),
-        grid::make_case_ieee30()}) {
+       {io::load_case("case4"), io::load_case("wscc9"),
+        io::load_case("ieee30")}) {
     const linalg::Vector c =
         test::random_vector(sys.num_buses() - 1, rng, 0.005);
     const AttackImpact impact =

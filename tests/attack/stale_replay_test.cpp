@@ -9,9 +9,9 @@
 
 #include <vector>
 
-#include "grid/cases.hpp"
 #include "grid/load_trace.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/daily.hpp"
 #include "mtd/effectiveness.hpp"
 #include "mtd/spa.hpp"
@@ -38,7 +38,7 @@ struct KeyedHour {
 /// Advances a fast case14 engine for `hours` hours and returns the keyed
 /// outcomes in order (infeasible hours skipped).
 std::vector<KeyedHour> keyed_hours(std::size_t hours, std::uint64_t seed) {
-  mtd::DailyEngine engine(grid::make_case14(),
+  mtd::DailyEngine engine(io::load_case("case14"),
                           grid::DailyLoadTrace::nyiso_winter_weekday(),
                           fast_daily());
   stats::Rng rng(seed);
@@ -105,7 +105,7 @@ TEST(StaleReplayTest, ZeroKnowledgeAttackerIsDetectedWithHighProbability) {
   // high probability on every keyed hour. (The p >= 0.95 acceptance
   // number is a case118 campaign figure; these fast case14 knobs pick
   // small-gamma keys, observed detections 0.79-0.94.)
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h_nominal = grid::measurement_matrix(sys);
   const std::vector<KeyedHour> hours = keyed_hours(3, 11);
   ASSERT_FALSE(hours.empty());

@@ -3,15 +3,15 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "stats/rng.hpp"
 
 namespace mtdgrid::estimation {
 namespace {
 
 StateEstimator make_estimator(double sigma = 1.0) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   return StateEstimator(grid::measurement_matrix(sys), sigma);
 }
 
@@ -76,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(Alphas, BddCalibrationProperty,
 TEST(BddTest, FpRateInvariantToMtdPerturbation) {
   // "MTD does not alter the FP rate of the BDD" (paper Section VII-B):
   // the threshold recalibrates with H' and the dof is unchanged.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.3;
   const StateEstimator before(grid::measurement_matrix(sys), 1.0);

@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
 
@@ -17,7 +17,7 @@ struct Scenario {
 };
 
 Scenario make_scenario(double perturbation = 1.4) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   Scenario s;
   s.h_old = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();

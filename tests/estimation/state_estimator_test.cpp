@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "oracles/dense_wls.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
@@ -12,7 +12,7 @@ namespace mtdgrid::estimation {
 namespace {
 
 linalg::Matrix ieee14_h() {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   return grid::measurement_matrix(sys);
 }
 
@@ -86,7 +86,7 @@ TEST(StateEstimatorTest, PerSensorSigmasWeightResiduals) {
 TEST(StateEstimatorTest, AttackResidualNormBounds) {
   // 0 <= ||r'_a|| <= ||a|| / sigma (paper Appendix B, eq. (6)).
   const linalg::Matrix h = ieee14_h();
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.4;
   const linalg::Matrix h_new = grid::measurement_matrix(sys, x);
@@ -105,7 +105,7 @@ TEST(StateEstimatorTest, AttackResidualNormBounds) {
 // --- CSR H and the Matrix constructors against the dense oracle ---------
 
 TEST(StateEstimatorSparseTest, AgreesWithDenseOnCase14) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   const double sigma = 0.6;
   const oracles::DenseStateEstimator dense(h, sigma);
@@ -138,21 +138,8 @@ TEST(StateEstimatorSparseTest, AgreesWithDenseOnCase14) {
   }
 }
 
-TEST(StateEstimatorSparseTest, ConjugateGradientOptionAgreesToo) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
-  const linalg::Matrix h = grid::measurement_matrix(sys);
-  linalg::SolverOptions options;
-  options.method = linalg::SolverOptions::Method::kConjugateGradient;
-  const oracles::DenseStateEstimator dense(h, 1.0);
-  const StateEstimator cg(grid::sparse_measurement_matrix(sys), 1.0,
-                          options);
-  stats::Rng rng(21);
-  const linalg::Vector z = test::random_vector(h.rows(), rng);
-  EXPECT_LT(linalg::max_abs_diff(cg.estimate(z), dense.estimate(z)), 1e-8);
-}
-
 TEST(StateEstimatorSparseTest, PerSensorSigmasSupported) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   stats::Rng rng(22);
   linalg::Vector sigmas(h.rows());
@@ -169,7 +156,7 @@ TEST(StateEstimatorSparseTest, PerSensorSigmasSupported) {
 }
 
 TEST(StateEstimatorSparseTest, CopyAndMoveKeepTheFactorization) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   stats::Rng rng(23);
   const linalg::Vector z = test::random_vector(h.rows(), rng);
@@ -193,7 +180,7 @@ TEST(StateEstimatorSparseTest, CopyAndMoveKeepTheFactorization) {
 }
 
 TEST(StateEstimatorSparseTest, RejectsInvalidConstruction) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::SparseMatrix hs = grid::sparse_measurement_matrix(sys);
   EXPECT_THROW(StateEstimator(hs, 0.0), std::invalid_argument);
   EXPECT_THROW(StateEstimator(hs, linalg::Vector(3, 1.0)),

@@ -1,4 +1,4 @@
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,19 +16,8 @@ namespace {
 // structure, measurement-model dimensions, per-bus DC power-flow balance,
 // and a feasible base-case OPF dispatch on each.
 
-TEST(Case14Test, MatchesIeee14Factory) {
-  const PowerSystem sys = make_case14();
-  const PowerSystem ieee = make_case_ieee14();
-  EXPECT_EQ(sys.num_buses(), ieee.num_buses());
-  EXPECT_EQ(sys.num_branches(), ieee.num_branches());
-  EXPECT_EQ(sys.num_generators(), ieee.num_generators());
-  EXPECT_EQ(sys.dfacts_branches(), ieee.dfacts_branches());
-  for (std::size_t l = 0; l < sys.num_branches(); ++l)
-    EXPECT_DOUBLE_EQ(sys.branch(l).reactance, ieee.branch(l).reactance);
-}
-
 TEST(Case14Test, Structure) {
-  const PowerSystem sys = make_case14();
+  const PowerSystem sys = io::load_case("case14");
   EXPECT_EQ(sys.num_buses(), 14u);
   EXPECT_EQ(sys.num_branches(), 20u);
   EXPECT_EQ(sys.num_generators(), 5u);
@@ -38,7 +27,7 @@ TEST(Case14Test, Structure) {
 
 TEST(Case14Test, MeasurementMatrixDimensions) {
   // M = 2L + N = 2*20 + 14 = 54 measurements against n = N - 1 = 13 states.
-  const PowerSystem sys = make_case14();
+  const PowerSystem sys = io::load_case("case14");
   EXPECT_EQ(measurement_count(sys), 54u);
   const linalg::Matrix h = measurement_matrix(sys);
   EXPECT_EQ(h.rows(), 54u);
@@ -46,7 +35,7 @@ TEST(Case14Test, MeasurementMatrixDimensions) {
 }
 
 TEST(Case57Test, StructureMatchesMatpowerCase57) {
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   EXPECT_EQ(sys.num_buses(), 57u);
   EXPECT_EQ(sys.num_branches(), 80u);
   EXPECT_EQ(sys.num_generators(), 7u);
@@ -62,7 +51,7 @@ TEST(Case57Test, StructureMatchesMatpowerCase57) {
 TEST(Case57Test, KeepsMatpowerParallelCircuits) {
   // case57 has double circuits on 4-18 and 24-25; the DC model sums their
   // susceptances, so both must survive into the branch list.
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   int count_4_18 = 0;
   int count_24_25 = 0;
   for (const Branch& br : sys.branches()) {
@@ -75,7 +64,7 @@ TEST(Case57Test, KeepsMatpowerParallelCircuits) {
 
 TEST(Case57Test, MeasurementMatrixDimensions) {
   // M = 2L + N = 2*80 + 57 = 217 measurements against n = N - 1 = 56 states.
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   EXPECT_EQ(measurement_count(sys), 217u);
   const linalg::Matrix h = measurement_matrix(sys);
   EXPECT_EQ(h.rows(), 217u);
@@ -83,7 +72,7 @@ TEST(Case57Test, MeasurementMatrixDimensions) {
 }
 
 TEST(Case57Test, DcPowerFlowBalancesAtEveryBus) {
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   const opf::DispatchResult r = opf::solve_dc_opf(sys);
   ASSERT_TRUE(r.feasible);
 
@@ -99,7 +88,7 @@ TEST(Case57Test, DcPowerFlowBalancesAtEveryBus) {
 }
 
 TEST(Case57Test, SolveDcPowerFlowAgreesWithOpfFlows) {
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   const opf::DispatchResult r = opf::solve_dc_opf(sys);
   ASSERT_TRUE(r.feasible);
   const DcPowerFlowResult pf = solve_dc_power_flow(
@@ -109,7 +98,7 @@ TEST(Case57Test, SolveDcPowerFlowAgreesWithOpfFlows) {
 }
 
 TEST(Case57Test, BaseOpfDispatchIsFeasibleAndEconomic) {
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   const opf::DispatchResult r = opf::solve_dc_opf(sys);
   ASSERT_TRUE(r.feasible);
   EXPECT_NEAR(r.generation_mw.sum(), sys.total_load_mw(), 1e-6);
@@ -126,7 +115,7 @@ TEST(Case57Test, BaseOpfDispatchIsFeasibleAndEconomic) {
 TEST(Case57Test, OpfStaysFeasibleUnderDfactsPerturbations) {
   // The MTD pipeline re-runs the OPF after each reactance perturbation;
   // the full +/-50% D-FACTS envelope must keep the case solvable.
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   for (double factor : {0.5, 0.75, 1.25, 1.5}) {
     linalg::Vector x = sys.reactances();
     for (std::size_t l : sys.dfacts_branches()) x[l] *= factor;
@@ -136,7 +125,7 @@ TEST(Case57Test, OpfStaysFeasibleUnderDfactsPerturbations) {
 }
 
 TEST(Case57Test, GenerationHeadroomForLoadScaling) {
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   double capacity = 0.0;
   for (std::size_t g = 0; g < sys.num_generators(); ++g)
     capacity += sys.generator(g).max_mw;

@@ -1,4 +1,4 @@
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@ namespace mtdgrid::grid {
 namespace {
 
 TEST(CasesTest, Case4MatchesPaperFigure3) {
-  const PowerSystem sys = make_case4();
+  const PowerSystem sys = io::load_case("case4");
   EXPECT_EQ(sys.num_buses(), 4u);
   EXPECT_EQ(sys.num_branches(), 4u);
   EXPECT_EQ(sys.num_generators(), 2u);
@@ -20,7 +20,7 @@ TEST(CasesTest, Case4MatchesPaperFigure3) {
 TEST(CasesTest, Case4PrePerturbationOpfReproducesTable2) {
   // Paper Table II: dispatch (350, 150) MW, cost $1.15e4, flows
   // (126.56, 173.44, -43.44, -26.56) MW.
-  const PowerSystem sys = make_case4();
+  const PowerSystem sys = io::load_case("case4");
   const opf::DispatchResult r = opf::solve_dc_opf(sys);
   ASSERT_TRUE(r.feasible);
   EXPECT_NEAR(r.cost, 1.15e4, 1.0);
@@ -33,7 +33,7 @@ TEST(CasesTest, Case4PrePerturbationOpfReproducesTable2) {
 }
 
 TEST(CasesTest, Ieee14MatchesTable4Generators) {
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   EXPECT_EQ(sys.num_buses(), 14u);
   EXPECT_EQ(sys.num_branches(), 20u);
   ASSERT_EQ(sys.num_generators(), 5u);
@@ -50,7 +50,7 @@ TEST(CasesTest, Ieee14MatchesTable4Generators) {
 }
 
 TEST(CasesTest, Ieee14DfactsAndFlowLimitsPerPaper) {
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   // D-FACTS on branches {1,5,9,11,17,19} (1-based) with eta_max = 0.5.
   const std::vector<std::size_t> expected = {0, 4, 8, 10, 16, 18};
   EXPECT_EQ(sys.dfacts_branches(), expected);
@@ -64,7 +64,7 @@ TEST(CasesTest, Ieee14DfactsAndFlowLimitsPerPaper) {
 }
 
 TEST(CasesTest, Ieee14LoadsMatchMatpowerCase14) {
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   EXPECT_NEAR(sys.total_load_mw(), 259.0, 0.01);
   EXPECT_DOUBLE_EQ(sys.bus(0).load_mw, 0.0);
   EXPECT_DOUBLE_EQ(sys.bus(2).load_mw, 94.2);
@@ -72,7 +72,7 @@ TEST(CasesTest, Ieee14LoadsMatchMatpowerCase14) {
 }
 
 TEST(CasesTest, Ieee30Structure) {
-  const PowerSystem sys = make_case_ieee30();
+  const PowerSystem sys = io::load_case("ieee30");
   EXPECT_EQ(sys.num_buses(), 30u);
   EXPECT_EQ(sys.num_branches(), 41u);
   EXPECT_EQ(sys.num_generators(), 6u);
@@ -81,7 +81,7 @@ TEST(CasesTest, Ieee30Structure) {
 }
 
 TEST(CasesTest, Wscc9Structure) {
-  const PowerSystem sys = make_case_wscc9();
+  const PowerSystem sys = io::load_case("wscc9");
   EXPECT_EQ(sys.num_buses(), 9u);
   EXPECT_EQ(sys.num_branches(), 9u);
   EXPECT_EQ(sys.num_generators(), 3u);
@@ -90,9 +90,8 @@ TEST(CasesTest, Wscc9Structure) {
 }
 
 TEST(CasesTest, AllCasesSolveBaseOpf) {
-  for (const PowerSystem& sys :
-       {make_case4(), make_case_ieee14(), make_case_ieee30(),
-        make_case_wscc9(), make_case57()}) {
+  for (const char* name : {"case4", "case14", "ieee30", "wscc9", "case57"}) {
+    const PowerSystem sys = io::load_case(name);
     const opf::DispatchResult r = opf::solve_dc_opf(sys);
     EXPECT_TRUE(r.feasible) << sys.name();
     EXPECT_NEAR(r.generation_mw.sum(), sys.total_load_mw(), 1e-6)
@@ -102,9 +101,8 @@ TEST(CasesTest, AllCasesSolveBaseOpf) {
 
 TEST(CasesTest, AllCasesHaveGenerationHeadroom) {
   // Capacity margin so the dynamic-load experiments can scale loads up.
-  for (const PowerSystem& sys :
-       {make_case4(), make_case_ieee14(), make_case_ieee30(),
-        make_case_wscc9(), make_case57()}) {
+  for (const char* name : {"case4", "case14", "ieee30", "wscc9", "case57"}) {
+    const PowerSystem sys = io::load_case(name);
     double capacity = 0.0;
     for (std::size_t g = 0; g < sys.num_generators(); ++g)
       capacity += sys.generator(g).max_mw;

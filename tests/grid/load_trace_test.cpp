@@ -4,7 +4,7 @@
 
 #include <stdexcept>
 
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 
 namespace mtdgrid::grid {
 namespace {
@@ -41,7 +41,7 @@ TEST(LoadTraceTest, NyisoProfileShape) {
 }
 
 TEST(LoadTraceTest, ApplyPreservesLoadDistribution) {
-  PowerSystem sys = make_case_ieee14();
+  PowerSystem sys = io::load_case("case14");
   const linalg::Vector base = sys.loads_mw();
   const DailyLoadTrace trace = DailyLoadTrace::nyiso_winter_weekday();
   trace.apply(sys, 17, base);
@@ -51,7 +51,7 @@ TEST(LoadTraceTest, ApplyPreservesLoadDistribution) {
 }
 
 TEST(LoadTraceTest, ApplyRejectsWrongBaseLength) {
-  PowerSystem sys = make_case_ieee14();
+  PowerSystem sys = io::load_case("case14");
   const DailyLoadTrace trace = DailyLoadTrace::nyiso_winter_weekday();
   EXPECT_THROW(trace.apply(sys, 0, linalg::Vector(5, 1.0)),
                std::invalid_argument);

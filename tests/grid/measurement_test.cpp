@@ -4,8 +4,8 @@
 
 #include <algorithm>
 
-#include "grid/cases.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "linalg/qr.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
@@ -14,7 +14,7 @@ namespace mtdgrid::grid {
 namespace {
 
 TEST(MeasurementTest, DimensionsMatchPaperModel) {
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = measurement_matrix(sys);
   // M = 2L + N = 2*20 + 14 = 54 measurements; state dim N-1 = 13.
   EXPECT_EQ(measurement_count(sys), 54u);
@@ -23,16 +23,15 @@ TEST(MeasurementTest, DimensionsMatchPaperModel) {
 }
 
 TEST(MeasurementTest, HasFullColumnRank) {
-  for (const PowerSystem& sys :
-       {make_case4(), make_case_ieee14(), make_case_ieee30(),
-        make_case_wscc9()}) {
+  for (const char* name : {"case4", "case14", "ieee30", "wscc9"}) {
+    const PowerSystem sys = io::load_case(name);
     const linalg::Matrix h = measurement_matrix(sys);
     EXPECT_EQ(linalg::rank(h), sys.num_buses() - 1) << sys.name();
   }
 }
 
 TEST(MeasurementTest, ReverseFlowRowsAreNegatedForwardRows) {
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = measurement_matrix(sys);
   const std::size_t num_branches = sys.num_branches();
   for (std::size_t l = 0; l < num_branches; ++l)
@@ -43,7 +42,7 @@ TEST(MeasurementTest, ReverseFlowRowsAreNegatedForwardRows) {
 TEST(MeasurementTest, InjectionRowsAreIncidenceTimesFlows) {
   // p = A f: injection measurements must equal the signed sum of incident
   // branch-flow measurements for any state.
-  const PowerSystem sys = make_case_wscc9();
+  const PowerSystem sys = io::load_case("wscc9");
   stats::Rng rng(5);
   const linalg::Vector theta = test::random_vector(sys.num_buses() - 1, rng,
                                                    0.05);
@@ -61,7 +60,7 @@ TEST(MeasurementTest, InjectionRowsAreIncidenceTimesFlows) {
 }
 
 TEST(MeasurementTest, FlowRowsMatchPowerFlowSolution) {
-  const PowerSystem sys = make_case4();
+  const PowerSystem sys = io::load_case("case4");
   stats::Rng rng(6);
   const linalg::Vector theta = test::random_vector(3, rng, 0.02);
   const linalg::Vector z =
@@ -71,7 +70,7 @@ TEST(MeasurementTest, FlowRowsMatchPowerFlowSolution) {
 }
 
 TEST(MeasurementTest, ReactancePerturbationChangesOnlyTouchedRows) {
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   linalg::Vector x = sys.reactances();
   const linalg::Matrix h0 = measurement_matrix(sys, x);
   x[0] *= 1.2;  // branch 0 connects buses 0 and 1
@@ -94,7 +93,7 @@ TEST(MeasurementTest, ReactancePerturbationChangesOnlyTouchedRows) {
 TEST(MeasurementTest, ScalingAllReactancesScalesH) {
   // H' for x' = x / (1+eta) equals (1+eta) H: the gamma == 0 degenerate
   // MTD of the paper's Fig. 4(a).
-  const PowerSystem sys = make_case_wscc9();
+  const PowerSystem sys = io::load_case("wscc9");
   const linalg::Vector x = sys.reactances();
   const double eta = 0.25;
   linalg::Vector x_scaled = x;
@@ -111,8 +110,8 @@ TEST(MeasurementSparseTest, SparseMatrixEqualsDenseBitForBit) {
   // same branch order the dense susceptance accumulation uses, so every
   // stored value is bit-identical to the dense entry — exact ==, not NEAR.
   for (const PowerSystem& sys :
-       {make_case4(), make_case_wscc9(), make_case_ieee14(),
-        make_case57()}) {
+       {io::load_case("case4"), io::load_case("wscc9"), io::load_case("case14"),
+        io::load_case("case57")}) {
     const linalg::Matrix h = measurement_matrix(sys);
     const linalg::SparseMatrix hs = sparse_measurement_matrix(sys);
     ASSERT_EQ(hs.rows(), h.rows()) << sys.name();
@@ -122,7 +121,7 @@ TEST(MeasurementSparseTest, SparseMatrixEqualsDenseBitForBit) {
 }
 
 TEST(MeasurementSparseTest, SparseMatrixEqualsDenseForPerturbedReactances) {
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   stats::Rng rng(700);
   const linalg::Vector lo = sys.reactance_lower_limits();
   const linalg::Vector hi = sys.reactance_upper_limits();
@@ -136,7 +135,7 @@ TEST(MeasurementSparseTest, SparseMatrixEqualsDenseForPerturbedReactances) {
 TEST(MeasurementSparseTest, SparsityIsBoundedByEightEntriesPerBranch) {
   // 2 endpoint entries per flow row (2L rows) plus 4 injection
   // contributions per branch: nnz <= 8L, minus slack-column drops.
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   const linalg::SparseMatrix hs = sparse_measurement_matrix(sys);
   EXPECT_LE(hs.nnz(), 8 * sys.num_branches());
   // Far below the dense M x (N-1) block at 57-bus scale and beyond.
@@ -148,7 +147,7 @@ TEST(MeasurementSparseTest, SparsityIsBoundedByEightEntriesPerBranch) {
 class IncrementalUpdateProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalUpdateProperty, RowUpdateEqualsRebuildOnCase14) {
-  const PowerSystem sys = make_case14();
+  const PowerSystem sys = io::load_case("case14");
   stats::Rng rng(600 + GetParam());
   const linalg::Vector x0 = sys.reactances();
   const linalg::Vector lo = sys.reactance_lower_limits();
@@ -167,7 +166,7 @@ TEST_P(IncrementalUpdateProperty, RowUpdateEqualsRebuildOnCase14) {
 }
 
 TEST_P(IncrementalUpdateProperty, RowUpdateEqualsRebuildOnCase57) {
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   stats::Rng rng(650 + GetParam());
   const linalg::Vector x0 = sys.reactances();
   const linalg::Vector lo = sys.reactance_lower_limits();
@@ -189,7 +188,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalUpdateProperty,
                          ::testing::Range(0, 8));
 
 TEST(MeasurementIncrementalTest, ChangedBranchesFindsExactlyTheDiff) {
-  const PowerSystem sys = make_case14();
+  const PowerSystem sys = io::load_case("case14");
   linalg::Vector x0 = sys.reactances();
   linalg::Vector x1 = x0;
   x1[2] *= 1.1;
@@ -204,7 +203,7 @@ TEST(MeasurementIncrementalTest, ChangedBranchesFindsExactlyTheDiff) {
 TEST(MeasurementIncrementalTest, ChainOfUpdatesStaysExact) {
   // Apply several successive perturbations to the same cached matrix; the
   // update must not accumulate error relative to a fresh rebuild.
-  const PowerSystem sys = make_case57();
+  const PowerSystem sys = io::load_case("case57");
   stats::Rng rng(77);
   const linalg::Vector lo = sys.reactance_lower_limits();
   const linalg::Vector hi = sys.reactance_upper_limits();

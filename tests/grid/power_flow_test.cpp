@@ -4,7 +4,7 @@
 
 #include <stdexcept>
 
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 
 namespace mtdgrid::grid {
 namespace {
@@ -45,7 +45,7 @@ TEST(PowerFlowTest, RejectsWrongLengthInjections) {
 }
 
 TEST(PowerFlowTest, FlowConservationAtEveryBus) {
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   linalg::Vector injections(sys.num_buses());
   // Put all generation at the slack, loads as given.
   for (std::size_t i = 0; i < sys.num_buses(); ++i)
@@ -66,7 +66,7 @@ TEST(PowerFlowTest, FlowConservationAtEveryBus) {
 
 TEST(PowerFlowTest, FlowScalesInverselyWithReactance) {
   // In a two-path ring, lowering one path's reactance draws flow onto it.
-  const PowerSystem sys = make_case4();
+  const PowerSystem sys = io::load_case("case4");
   linalg::Vector injections(4);
   injections[0] = 100.0;
   injections[3] = -100.0;
@@ -79,7 +79,7 @@ TEST(PowerFlowTest, FlowScalesInverselyWithReactance) {
 }
 
 TEST(PowerFlowTest, NodalInjectionsFromDispatch) {
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   linalg::Vector gen(sys.num_generators());
   gen[0] = sys.total_load_mw();
   const linalg::Vector injections = nodal_injections(sys, gen);
@@ -89,7 +89,7 @@ TEST(PowerFlowTest, NodalInjectionsFromDispatch) {
 }
 
 TEST(PowerFlowTest, ThetaReducedConsistentWithFull) {
-  const PowerSystem sys = make_case_wscc9();
+  const PowerSystem sys = io::load_case("wscc9");
   linalg::Vector injections(sys.num_buses());
   injections[0] = 90.0;
   injections[4] = -90.0;
@@ -107,7 +107,7 @@ TEST(PowerFlowTest, ThetaReducedConsistentWithFull) {
 
 TEST(PowerFlowTest, SuperpositionHolds) {
   // DC power flow is linear: flows(p1 + p2) = flows(p1) + flows(p2).
-  const PowerSystem sys = make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   linalg::Vector p1(sys.num_buses()), p2(sys.num_buses());
   p1[0] = 30.0;
   p1[5] = -30.0;

@@ -5,7 +5,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 
 namespace mtdgrid::grid {
 namespace {

@@ -5,9 +5,9 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/effectiveness.hpp"
 #include "mtd/random_mtd.hpp"
 #include "mtd/selection.hpp"
@@ -49,19 +49,19 @@ PipelineResult run_pipeline(const grid::PowerSystem& sys, double gamma_th,
 }
 
 TEST(EndToEndTest, Ieee14PipelineIsEffective) {
-  const PipelineResult r = run_pipeline(grid::make_case_ieee14(), 0.25, 1);
+  const PipelineResult r = run_pipeline(io::load_case("case14"), 0.25, 1);
   EXPECT_TRUE(r.selection.feasible);
   EXPECT_GT(r.effectiveness.eta[0], 0.6);  // eta'(0.5)
 }
 
 TEST(EndToEndTest, Ieee30PipelineIsEffective) {
-  const PipelineResult r = run_pipeline(grid::make_case_ieee30(), 0.2, 2);
+  const PipelineResult r = run_pipeline(io::load_case("ieee30"), 0.2, 2);
   EXPECT_TRUE(r.selection.feasible);
   EXPECT_GT(r.effectiveness.eta[0], 0.5);
 }
 
 TEST(EndToEndTest, Wscc9PipelineIsEffective) {
-  const PipelineResult r = run_pipeline(grid::make_case_wscc9(), 0.2, 3);
+  const PipelineResult r = run_pipeline(io::load_case("wscc9"), 0.2, 3);
   EXPECT_TRUE(r.selection.feasible);
   EXPECT_GT(r.effectiveness.eta[0], 0.5);
 }
@@ -70,7 +70,7 @@ TEST(EndToEndTest, Case57PipelineIsEffective) {
   // IEEE 57-bus: the largest scenario. A trimmed search budget keeps the
   // 217 x 56 measurement-model pipeline inside test-suite time while still
   // demanding a defense that detects most attacks at delta = 0.5.
-  const grid::PowerSystem sys = grid::make_case57();
+  const grid::PowerSystem sys = io::load_case("case57");
   stats::Rng rng(9);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);
@@ -98,7 +98,7 @@ TEST(EndToEndTest, DesignedMtdBeatsRandomBaseline) {
   // The paper's headline comparison (Fig. 7/8 vs Fig. 6): an SPA-designed
   // perturbation achieves far higher eta'(delta) than random +/-2%
   // perturbations of prior work.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(4);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
@@ -127,7 +127,7 @@ TEST(EndToEndTest, DesignedMtdBeatsRandomBaseline) {
 TEST(EndToEndTest, MtdCostBoundedOnUncongestedSystem) {
   // WSCC-9 with generous limits: the MTD should be nearly free even at a
   // demanding threshold (the "insurance premium" is load dependent).
-  const grid::PowerSystem sys = grid::make_case_wscc9();
+  const grid::PowerSystem sys = io::load_case("wscc9");
   const PipelineResult r = run_pipeline(sys, 0.2, 6);
   ASSERT_TRUE(r.selection.feasible);
   EXPECT_LT(r.selection.cost_increase, 0.05);
@@ -136,7 +136,7 @@ TEST(EndToEndTest, MtdCostBoundedOnUncongestedSystem) {
 TEST(EndToEndTest, AttackerLearningNewMatrixRestoresStealth) {
   // If the attacker re-learns H' (the paper's secrecy-decay caveat), the
   // MTD is defeated: attacks crafted from H' are undetectable again.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const PipelineResult r = run_pipeline(sys, 0.25, 7);
   stats::Rng rng(8);
   const linalg::Vector z_ref = grid::noiseless_measurements(

@@ -5,8 +5,8 @@
 
 #include "attack/fdi_attack.hpp"
 #include "estimation/state_estimator.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/spa.hpp"
 #include "opf/dc_opf.hpp"
 
@@ -16,7 +16,7 @@ namespace {
 class PaperTablesTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    sys_ = std::make_unique<grid::PowerSystem>(grid::make_case4());
+    sys_ = std::make_unique<grid::PowerSystem>(io::load_case("case4"));
     h0_ = grid::measurement_matrix(*sys_);
     base_ = opf::solve_dc_opf(*sys_);
     ASSERT_TRUE(base_.feasible);

@@ -3,9 +3,9 @@
 #include <cmath>
 #include <vector>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/effectiveness.hpp"
 #include "mtd/selection.hpp"
 #include "mtd/spa.hpp"
@@ -20,7 +20,7 @@ namespace {
 // pipeline (PR acceptance criterion).
 
 TEST(Case118Test, StructureMatchesIeee118) {
-  const grid::PowerSystem sys = grid::make_case118();
+  const grid::PowerSystem sys = io::load_case("case118");
   EXPECT_EQ(sys.name(), "case118");
   EXPECT_EQ(sys.num_buses(), 118u);
   EXPECT_EQ(sys.num_branches(), 186u);
@@ -37,7 +37,7 @@ TEST(Case118Test, StructureMatchesIeee118) {
 TEST(Case118Test, KeepsParallelCircuits) {
   // case118's double circuits (42-49, 49-54, 49-66, 56-59, 77-80, 89-90,
   // 89-92) must survive into the branch list as distinct branches.
-  const grid::PowerSystem sys = grid::make_case118();
+  const grid::PowerSystem sys = io::load_case("case118");
   const auto count = [&](std::size_t f, std::size_t t) {
     int n = 0;
     for (const grid::Branch& br : sys.branches())
@@ -55,7 +55,7 @@ TEST(Case118Test, KeepsParallelCircuits) {
 
 TEST(Case118Test, MeasurementModelDimensions) {
   // M = 2L + N = 2*186 + 118 = 490 measurements, n = N - 1 = 117 states.
-  const grid::PowerSystem sys = grid::make_case118();
+  const grid::PowerSystem sys = io::load_case("case118");
   EXPECT_EQ(grid::measurement_count(sys), 490u);
   const linalg::Matrix h = grid::measurement_matrix(sys);
   EXPECT_EQ(h.rows(), 490u);
@@ -63,7 +63,7 @@ TEST(Case118Test, MeasurementModelDimensions) {
 }
 
 TEST(Case118Test, BaseOpfFeasibleAndBalanced) {
-  const grid::PowerSystem sys = grid::make_case118();
+  const grid::PowerSystem sys = io::load_case("case118");
   const opf::DispatchResult r = opf::solve_dc_opf(sys);
   ASSERT_TRUE(r.feasible);
   EXPECT_NEAR(r.generation_mw.sum(), sys.total_load_mw(), 1e-6);
@@ -82,7 +82,7 @@ TEST(Case118Test, BaseOpfFeasibleAndBalanced) {
 }
 
 TEST(Case118Test, OpfStaysFeasibleAcrossDfactsEnvelope) {
-  const grid::PowerSystem sys = grid::make_case118();
+  const grid::PowerSystem sys = io::load_case("case118");
   for (double factor : {0.5, 0.75, 1.25, 1.5}) {
     linalg::Vector x = sys.reactances();
     for (std::size_t l : sys.dfacts_branches()) x[l] *= factor;
@@ -92,7 +92,7 @@ TEST(Case118Test, OpfStaysFeasibleAcrossDfactsEnvelope) {
 }
 
 TEST(Case118Test, FastSpaMatchesReference) {
-  const grid::PowerSystem sys = grid::make_case118();
+  const grid::PowerSystem sys = io::load_case("case118");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const mtd::SpaEvaluator eval(sys, h0);
   linalg::Vector x = sys.reactances();
@@ -106,7 +106,7 @@ TEST(Case118Test, SelectionDispatchEffectivenessPipeline) {
   // The acceptance pipeline: attacker learns H0, the defender selects an
   // SPA-constrained perturbation (fast path), re-dispatches, and the
   // chosen MTD detects most of the sampled attacks.
-  const grid::PowerSystem sys = grid::make_case118();
+  const grid::PowerSystem sys = io::load_case("case118");
   stats::Rng rng(118);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);

@@ -5,9 +5,9 @@
 #include <vector>
 
 #include "estimation/wls_conformance.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "linalg/subspace.hpp"
 #include "mtd/spa.hpp"
 #include "opf/dc_opf.hpp"
@@ -22,7 +22,7 @@ namespace {
 // legs, where the 1122 x 299 measurement model would dominate the suite.
 
 TEST(Case300SlowTest, StructureAndScale) {
-  const grid::PowerSystem sys = grid::make_case300();
+  const grid::PowerSystem sys = io::load_case("case300");
   EXPECT_EQ(sys.name(), "case300");
   EXPECT_EQ(sys.num_buses(), 300u);
   EXPECT_EQ(sys.num_branches(), 411u);
@@ -33,7 +33,7 @@ TEST(Case300SlowTest, StructureAndScale) {
 
 TEST(Case300SlowTest, MeasurementModelDimensions) {
   // M = 2L + N = 2*411 + 300 = 1122, n = 299.
-  const grid::PowerSystem sys = grid::make_case300();
+  const grid::PowerSystem sys = io::load_case("case300");
   EXPECT_EQ(grid::measurement_count(sys), 1122u);
   const linalg::Matrix h = grid::measurement_matrix(sys);
   EXPECT_EQ(h.rows(), 1122u);
@@ -41,7 +41,7 @@ TEST(Case300SlowTest, MeasurementModelDimensions) {
 }
 
 TEST(Case300SlowTest, BaseOpfFeasibleAndBalanced) {
-  const grid::PowerSystem sys = grid::make_case300();
+  const grid::PowerSystem sys = io::load_case("case300");
   const opf::DispatchResult r = opf::solve_dc_opf(sys);
   ASSERT_TRUE(r.feasible);
   EXPECT_NEAR(r.generation_mw.sum(), sys.total_load_mw(), 1e-5);
@@ -60,7 +60,7 @@ TEST(Case300SlowTest, BaseOpfFeasibleAndBalanced) {
 }
 
 TEST(Case300SlowTest, OpfStaysFeasibleAcrossDfactsEnvelope) {
-  const grid::PowerSystem sys = grid::make_case300();
+  const grid::PowerSystem sys = io::load_case("case300");
   for (double factor : {0.5, 1.5}) {
     linalg::Vector x = sys.reactances();
     for (std::size_t l : sys.dfacts_branches()) x[l] *= factor;
@@ -74,7 +74,7 @@ TEST(Case300SlowTest, FastSpaPositiveUnderPerturbation) {
   // +30% perturbation of the 15 D-FACTS branches yields a decisively
   // positive principal angle, and the rank-k fast path agrees with the
   // thin-QR reference.
-  const grid::PowerSystem sys = grid::make_case300();
+  const grid::PowerSystem sys = io::load_case("case300");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const mtd::SpaEvaluator eval(sys, h0);
   linalg::Vector x = sys.reactances();
@@ -92,7 +92,7 @@ TEST(Case300SlowTest, SparseStateEstimationMatchesDenseTo1em10) {
   // reproduce the dense WLS oracle at the nominal and two seeded D-FACTS
   // keys: estimates, residuals, analytic P_D and the BDD threshold to
   // <= 1e-10 relative, Monte-Carlo alarm counts exactly.
-  const grid::PowerSystem sys = grid::make_case300();
+  const grid::PowerSystem sys = io::load_case("case300");
   const linalg::SparseMatrix hs = grid::sparse_measurement_matrix(sys);
   EXPECT_EQ(linalg::max_abs_diff(hs.to_dense(), grid::measurement_matrix(sys)),
             0.0);

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <string>
 
-#include "grid/cases.hpp"
 #include "io/matpower.hpp"
 
 namespace mtdgrid::io {
@@ -29,8 +28,8 @@ TEST(CaseRegistryTest, KnowsEveryBundledCase) {
 TEST(CaseRegistryTest, LoadsByNameAndAlias) {
   EXPECT_EQ(load_case("case118").num_buses(), 118u);
   EXPECT_EQ(load_case("ieee118").num_buses(), 118u);
-  EXPECT_EQ(load_case("case4").num_buses(), 4u);     // builtin factory
-  EXPECT_EQ(load_case("ieee30").num_buses(), 30u);   // builtin factory
+  EXPECT_EQ(load_case("case4").num_buses(), 4u);
+  EXPECT_EQ(load_case("ieee30").num_buses(), 30u);
 }
 
 TEST(CaseRegistryTest, UnknownNameThrowsWithKnownList) {
@@ -122,62 +121,12 @@ TEST(CaseRegistryTest, LoadsFromExplicitPath) {
   EXPECT_EQ(sys.num_branches(), 80u);
 }
 
-// ---- the cross-check the loader refactor hinges on ---------------------
-// make_case14()/make_case57() now delegate to the loader; the loaded
-// systems must equal the frozen hand-coded tables to machine precision.
-
-void expect_matches_legacy(const grid::PowerSystem& loaded,
-                           const grid::PowerSystem& legacy) {
-  EXPECT_EQ(loaded.name(), legacy.name());
-  EXPECT_EQ(loaded.base_mva(), legacy.base_mva());
-  ASSERT_EQ(loaded.num_buses(), legacy.num_buses());
-  ASSERT_EQ(loaded.num_branches(), legacy.num_branches());
-  ASSERT_EQ(loaded.num_generators(), legacy.num_generators());
-  for (std::size_t i = 0; i < loaded.num_buses(); ++i)
-    EXPECT_EQ(loaded.bus(i).load_mw, legacy.bus(i).load_mw)
-        << "bus " << i + 1;
-  for (std::size_t l = 0; l < loaded.num_branches(); ++l) {
-    EXPECT_EQ(loaded.branch(l).from, legacy.branch(l).from) << l;
-    EXPECT_EQ(loaded.branch(l).to, legacy.branch(l).to) << l;
-    EXPECT_EQ(loaded.branch(l).reactance, legacy.branch(l).reactance) << l;
-    EXPECT_EQ(loaded.branch(l).flow_limit_mw, legacy.branch(l).flow_limit_mw)
-        << l;
-    EXPECT_EQ(loaded.branch(l).has_dfacts, legacy.branch(l).has_dfacts)
-        << l;
-    EXPECT_EQ(loaded.branch(l).dfacts_min_factor,
-              legacy.branch(l).dfacts_min_factor)
-        << l;
-    EXPECT_EQ(loaded.branch(l).dfacts_max_factor,
-              legacy.branch(l).dfacts_max_factor)
-        << l;
-  }
-  for (std::size_t g = 0; g < loaded.num_generators(); ++g) {
-    EXPECT_EQ(loaded.generator(g).bus, legacy.generator(g).bus) << g;
-    EXPECT_EQ(loaded.generator(g).min_mw, legacy.generator(g).min_mw) << g;
-    EXPECT_EQ(loaded.generator(g).max_mw, legacy.generator(g).max_mw) << g;
-    EXPECT_EQ(loaded.generator(g).cost_per_mwh,
-              legacy.generator(g).cost_per_mwh)
-        << g;
-  }
-}
-
-TEST(CaseRegistryTest, LoadedCase14EqualsLegacyTables) {
-  expect_matches_legacy(load_case("case14"), grid::make_case_ieee14());
-}
-
-TEST(CaseRegistryTest, LoadedCase57EqualsLegacyTables) {
-  expect_matches_legacy(load_case("case57"), grid::make_case57_legacy());
-}
-
-TEST(CaseRegistryTest, ThinWrappersDelegateToLoader) {
-  expect_matches_legacy(grid::make_case14(), grid::make_case_ieee14());
-  expect_matches_legacy(grid::make_case57(), grid::make_case57_legacy());
-}
-
 TEST(CaseRegistryTest, EnvironmentOverridesDataDir) {
   setenv("MTDGRID_DATA_DIR", "/tmp/mtdgrid-no-such-dir", 1);
   EXPECT_EQ(CaseRegistry::global().data_dir(), "/tmp/mtdgrid-no-such-dir");
   EXPECT_THROW(load_case("case118"), CaseIoError);
+  // The small cases are data files too, so they follow the override.
+  EXPECT_THROW(load_case("case4"), CaseIoError);
   unsetenv("MTDGRID_DATA_DIR");
   EXPECT_NE(CaseRegistry::global().data_dir(),
             "/tmp/mtdgrid-no-such-dir");

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
+#include <string>
+
+#include "io/case_registry.hpp"
 #include "io/matpower.hpp"
 
 namespace mtdgrid::io {
@@ -50,30 +52,19 @@ grid::PowerSystem roundtrip(const grid::PowerSystem& sys) {
   return *back;
 }
 
-TEST(MatpowerRoundtripTest, Case4) {
-  const grid::PowerSystem sys = grid::make_case4();
+// Every file-backed registry entry: loading the bundled file, writing it
+// and parsing the text back must reproduce the loaded system exactly.
+class BundledCaseRoundtrip : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(BundledCaseRoundtrip, WriteThenParseIsExact) {
+  const grid::PowerSystem sys = load_case(GetParam());
   expect_identical(sys, roundtrip(sys));
 }
 
-TEST(MatpowerRoundtripTest, Wscc9) {
-  const grid::PowerSystem sys = grid::make_case_wscc9();
-  expect_identical(sys, roundtrip(sys));
-}
-
-TEST(MatpowerRoundtripTest, Ieee14Legacy) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
-  expect_identical(sys, roundtrip(sys));
-}
-
-TEST(MatpowerRoundtripTest, Ieee30) {
-  const grid::PowerSystem sys = grid::make_case_ieee30();
-  expect_identical(sys, roundtrip(sys));
-}
-
-TEST(MatpowerRoundtripTest, Case57Legacy) {
-  const grid::PowerSystem sys = grid::make_case57_legacy();
-  expect_identical(sys, roundtrip(sys));
-}
+INSTANTIATE_TEST_SUITE_P(Registry, BundledCaseRoundtrip,
+                         ::testing::Values("case4", "wscc9", "case14",
+                                           "ieee30", "case57", "case118",
+                                           "case300"));
 
 TEST(MatpowerRoundtripTest, AwkwardDoublesSurviveExactly) {
   // Values with no short decimal representation must still round-trip

@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/least_squares.hpp"
 #include "stats/rng.hpp"
@@ -16,7 +16,7 @@ namespace mtdgrid::linalg {
 namespace {
 
 // Backend-conformance suite: the CSR `NormalEquationsSolver` (sparse
-// Cholesky and both CG variants) against the dense reference — the dense
+// Cholesky) against the dense reference — the dense
 // `solve_weighted_least_squares` and a dense Cholesky of `weighted_gram` —
 // plus the dense-vs-sparse WLS agreement bound (<= 1e-10 on the bundled
 // IEEE cases).
@@ -31,22 +31,7 @@ Vector random_weights(std::size_t m, stats::Rng& rng) {
 
 // --- shared conformance against the dense reference ---------------------
 
-struct SolverVariant {
-  const char* name;
-  SolverOptions options;
-};
-
-class BackendConformance : public ::testing::TestWithParam<int> {
- protected:
-  static std::vector<SolverVariant> solver_variants() {
-    SolverOptions chol;  // defaults: direct Cholesky
-    SolverOptions cg_ic;
-    cg_ic.method = SolverOptions::Method::kConjugateGradient;
-    SolverOptions cg_jacobi = cg_ic;
-    cg_jacobi.preconditioner = SolverOptions::Preconditioner::kJacobi;
-    return {{"cholesky", chol}, {"cg-ic0", cg_ic}, {"cg-jacobi", cg_jacobi}};
-  }
-};
+class BackendConformance : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendConformance, SolveLeastSquaresAgreesAcrossPolicies) {
   stats::Rng rng(400 + GetParam());
@@ -58,13 +43,10 @@ TEST_P(BackendConformance, SolveLeastSquaresAgreesAcrossPolicies) {
 
   const Vector x_dense = solve_weighted_least_squares(d, w, b);
 
-  for (const SolverVariant& variant : solver_variants()) {
-    const NormalEquationsSolver sparse_solver(s, w, variant.options);
-    ASSERT_FALSE(sparse_solver.failed()) << variant.name;
-    EXPECT_LT(max_abs_diff(sparse_solver.solve_least_squares(b), x_dense),
-              1e-9)
-        << variant.name;
-  }
+  const NormalEquationsSolver sparse_solver(s, w);
+  ASSERT_FALSE(sparse_solver.failed());
+  EXPECT_LT(max_abs_diff(sparse_solver.solve_least_squares(b), x_dense),
+            1e-9);
 }
 
 TEST_P(BackendConformance, SolveNormalEquationsAgreesAcrossPolicies) {
@@ -83,12 +65,9 @@ TEST_P(BackendConformance, SolveNormalEquationsAgreesAcrossPolicies) {
   EXPECT_LT(max_abs_diff(gram * x_dense, rhs),
             1e-9 * std::max(1.0, rhs.norm()));
 
-  for (const SolverVariant& variant : solver_variants()) {
-    const NormalEquationsSolver sparse_solver(s, w, variant.options);
-    ASSERT_FALSE(sparse_solver.failed()) << variant.name;
-    EXPECT_LT(max_abs_diff(sparse_solver.solve(rhs), x_dense), 1e-8)
-        << variant.name;
-  }
+  const NormalEquationsSolver sparse_solver(s, w);
+  ASSERT_FALSE(sparse_solver.failed());
+  EXPECT_LT(max_abs_diff(sparse_solver.solve(rhs), x_dense), 1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendConformance, ::testing::Range(0, 10));
@@ -99,7 +78,7 @@ TEST(BackendDenseExactnessTest, MatchesLegacyDenseSolverBitForBit) {
   // The dense WLS must keep reproducing the historical computation
   // exactly: the same Gram accumulation, the same dense Cholesky and the
   // same moment-vector loop.
-  const grid::PowerSystem sys = grid::make_case57();
+  const grid::PowerSystem sys = io::load_case("case57");
   const Matrix h = grid::measurement_matrix(sys);
   stats::Rng rng(71);
   const Vector w = random_weights(h.rows(), rng);
@@ -129,12 +108,8 @@ void expect_case_agreement(const grid::PowerSystem& sys, int seed) {
   stats::Rng rng(seed);
   const Vector w = random_weights(h.rows(), rng);
 
-  SolverOptions cg;
-  cg.method = SolverOptions::Method::kConjugateGradient;
   const NormalEquationsSolver sparse_chol(hs, w);
-  const NormalEquationsSolver sparse_cg(hs, w, cg);
   ASSERT_FALSE(sparse_chol.failed());
-  ASSERT_FALSE(sparse_cg.failed());
 
   for (int trial = 0; trial < 3; ++trial) {
     // Realistic magnitudes: states ~0.1 rad, noise-scale perturbations.
@@ -145,24 +120,19 @@ void expect_case_agreement(const grid::PowerSystem& sys, int seed) {
     EXPECT_LT(max_abs_diff(sparse_chol.solve_least_squares(b), x_dense),
               1e-10 * scale)
         << sys.name() << " cholesky trial " << trial;
-    // CG is iterative: its agreement is bounded by the residual tolerance
-    // through the Gram conditioning, not by direct-solve rounding.
-    EXPECT_LT(max_abs_diff(sparse_cg.solve_least_squares(b), x_dense),
-              1e-8 * scale)
-        << sys.name() << " cg trial " << trial;
   }
 }
 
 TEST(BackendCaseAgreementTest, Case14DenseVsSparseWithin1em10) {
-  expect_case_agreement(grid::make_case14(), 81);
+  expect_case_agreement(io::load_case("case14"), 81);
 }
 
 TEST(BackendCaseAgreementTest, Case57DenseVsSparseWithin1em10) {
-  expect_case_agreement(grid::make_case57(), 82);
+  expect_case_agreement(io::load_case("case57"), 82);
 }
 
 TEST(BackendCaseAgreementTest, Case118DenseVsSparseWithin1em10) {
-  expect_case_agreement(grid::make_case118(), 83);
+  expect_case_agreement(io::load_case("case118"), 83);
 }
 
 // --- failure paths, dense and sparse ------------------------------------
@@ -180,9 +150,7 @@ TEST(BackendFailureTest, RankDeficientMatrixFailsUnderBothPolicies) {
 
   EXPECT_THROW(solve_weighted_least_squares(a, w, b), std::runtime_error);
 
-  // The direct (Cholesky) method detects the singular Gram matrix in CSR
-  // too. (CG does not: on a consistent singular system it quietly
-  // converges to one of the least-squares solutions.)
+  // The sparse Cholesky detects the singular Gram matrix in CSR too.
   const NormalEquationsSolver sparse_solver(s, w);
   EXPECT_TRUE(sparse_solver.failed());
   EXPECT_THROW(sparse_solver.solve_least_squares(b), std::runtime_error);
@@ -212,25 +180,6 @@ TEST(BackendFailureTest, FreeFunctionThrowsHistoricalMessage) {
                  "weighted least squares: normal equations not positive "
                  "definite (rank-deficient matrix or non-positive weights)");
   }
-}
-
-TEST(BackendFailureTest, CgDivergenceReportsResidual) {
-  // A one-iteration cap on a non-trivial system cannot converge; the
-  // sparse CG solve must throw rather than return a bad estimate. Jacobi
-  // here: IC(0) on the fully dense Gram pattern IS an exact factorization
-  // and would legitimately converge in one step.
-  stats::Rng rng(92);
-  const Matrix a = test::random_matrix(12, 6, rng);
-  const SparseMatrix s = SparseMatrix::from_dense(a);
-  const Vector w = random_weights(12, rng);
-  SolverOptions cg;
-  cg.method = SolverOptions::Method::kConjugateGradient;
-  cg.preconditioner = SolverOptions::Preconditioner::kJacobi;
-  cg.cg_max_iterations = 1;
-  const NormalEquationsSolver solver(s, w, cg);
-  ASSERT_FALSE(solver.failed());
-  EXPECT_THROW(solver.solve_least_squares(Vector(12, 1.0)),
-               std::runtime_error);
 }
 
 }  // namespace

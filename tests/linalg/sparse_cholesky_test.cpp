@@ -4,9 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
 
-#include "linalg/cg.hpp"
 #include "linalg/cholesky.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
@@ -173,114 +171,6 @@ TEST(SparseCholeskyTest, FailsOnStructurallySingularMatrix) {
   builder.add(0, 0, 2.0);
   builder.add(2, 2, 2.0);
   EXPECT_TRUE(SparseCholesky(builder.build()).failed());
-}
-
-// --- preconditioners and CG ---------------------------------------------
-
-TEST(PreconditionerTest, JacobiInvertsTheDiagonal) {
-  TripletBuilder builder(3, 3);
-  builder.add(0, 0, 2.0);
-  builder.add(1, 1, 4.0);
-  builder.add(2, 2, 0.5);
-  builder.add(0, 1, 1.0);  // off-diagonal ignored by Jacobi
-  const JacobiPreconditioner m(builder.build());
-  Vector r(3, 1.0);
-  const Vector z = m.apply(r);
-  EXPECT_DOUBLE_EQ(z[0], 0.5);
-  EXPECT_DOUBLE_EQ(z[1], 0.25);
-  EXPECT_DOUBLE_EQ(z[2], 2.0);
-}
-
-TEST(PreconditionerTest, JacobiRejectsNonPositiveDiagonal) {
-  TripletBuilder builder(2, 2);
-  builder.add(0, 0, 1.0);
-  builder.add(1, 1, -2.0);
-  EXPECT_THROW(JacobiPreconditioner{builder.build()}, std::runtime_error);
-}
-
-TEST(PreconditionerTest, IncompleteCholeskyExactOnFillFreePattern) {
-  // A tridiagonal matrix factors with zero fill, so IC(0) == exact
-  // Cholesky and one apply solves the system outright.
-  const std::size_t n = 25;
-  const SparseMatrix a = laplacian_1d(n);
-  const IncompleteCholeskyPreconditioner m(a);
-  ASSERT_FALSE(m.failed());
-  stats::Rng rng(41);
-  const Vector b = test::random_vector(n, rng);
-  EXPECT_LT(max_abs_diff(a * m.apply(b), b), 1e-10);
-}
-
-TEST(PreconditionerTest, IncompleteCholeskyFlagsMissingDiagonal) {
-  TripletBuilder builder(2, 2);
-  builder.add(0, 0, 1.0);  // no (1,1) entry
-  const IncompleteCholeskyPreconditioner m(builder.build());
-  EXPECT_TRUE(m.failed());
-}
-
-class CgProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(CgProperty, ConvergesWithBothPreconditioners) {
-  stats::Rng rng(300 + GetParam());
-  const std::size_t n = 20;
-  const SparseMatrix a =
-      SparseMatrix::from_dense(test::random_spd_matrix(n, rng));
-  const Vector b = test::random_vector(n, rng);
-  const SparseCholesky direct(a);
-  ASSERT_FALSE(direct.failed());
-  const Vector x_ref = direct.solve(b);
-
-  const JacobiPreconditioner jacobi(a);
-  const CgResult rj = preconditioned_cg(a, b, jacobi);
-  EXPECT_TRUE(rj.converged);
-  EXPECT_LT(rj.relative_residual, 1e-10);
-  EXPECT_LT(max_abs_diff(rj.x, x_ref), 1e-7);
-
-  const IncompleteCholeskyPreconditioner ic(a);
-  ASSERT_FALSE(ic.failed());
-  const CgResult ri = preconditioned_cg(a, b, ic);
-  EXPECT_TRUE(ri.converged);
-  EXPECT_LT(ri.relative_residual, 1e-10);
-  EXPECT_LT(max_abs_diff(ri.x, x_ref), 1e-7);
-  // IC(0) must not be weaker than diagonal scaling on these systems.
-  EXPECT_LE(ri.iterations, rj.iterations);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, CgProperty, ::testing::Range(0, 10));
-
-TEST(CgTest, ZeroRhsConvergesImmediately) {
-  const SparseMatrix a = laplacian_1d(10);
-  const JacobiPreconditioner m(a);
-  const CgResult r = preconditioned_cg(a, Vector(10), m);
-  EXPECT_TRUE(r.converged);
-  EXPECT_EQ(r.iterations, 0u);
-  EXPECT_EQ(r.x.norm(), 0.0);
-}
-
-TEST(CgTest, IterationCapStopsUnconverged) {
-  stats::Rng rng(51);
-  const SparseMatrix a =
-      SparseMatrix::from_dense(test::random_spd_matrix(30, rng));
-  const Vector b = test::random_vector(30, rng);
-  const JacobiPreconditioner m(a);
-  CgOptions options;
-  options.max_iterations = 1;
-  const CgResult r = preconditioned_cg(a, b, m, options);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.iterations, 1u);
-  EXPECT_GT(r.relative_residual, 1e-12);
-}
-
-TEST(CgTest, IsDeterministic) {
-  stats::Rng rng(52);
-  const SparseMatrix a =
-      SparseMatrix::from_dense(test::random_spd_matrix(16, rng));
-  const Vector b = test::random_vector(16, rng);
-  const IncompleteCholeskyPreconditioner m(a);
-  ASSERT_FALSE(m.failed());
-  const CgResult r1 = preconditioned_cg(a, b, m);
-  const CgResult r2 = preconditioned_cg(a, b, m);
-  EXPECT_EQ(r1.iterations, r2.iterations);
-  EXPECT_EQ(max_abs_diff(r1.x, r2.x), 0.0);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 
 namespace mtdgrid::mtd {
 namespace {
@@ -17,7 +17,7 @@ DailySimulationOptions fast_options() {
 }
 
 TEST(DailyTest, ProducesCompleteFeasibleDay) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const grid::DailyLoadTrace trace =
       grid::DailyLoadTrace::nyiso_winter_weekday();
   stats::Rng rng(1);
@@ -35,7 +35,7 @@ TEST(DailyTest, ProducesCompleteFeasibleDay) {
 TEST(DailyTest, NaturalReactanceDriftIsSmall) {
   // gamma(H_t, H_t') must be nearly zero across the day (paper Fig. 11):
   // the warm-started hourly OPF tracks the slowly varying load.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const grid::DailyLoadTrace trace =
       grid::DailyLoadTrace::nyiso_winter_weekday();
   stats::Rng rng(2);
@@ -49,7 +49,7 @@ TEST(DailyTest, NaturalReactanceDriftIsSmall) {
 TEST(DailyTest, MtdAnglesDominateNaturalDrift) {
   // The deliberate perturbation must rotate the column space much more
   // than the natural load-driven drift does.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const grid::DailyLoadTrace trace =
       grid::DailyLoadTrace::nyiso_winter_weekday();
   stats::Rng rng(3);
@@ -65,7 +65,7 @@ TEST(DailyTest, MtdAnglesDominateNaturalDrift) {
 TEST(DailyTest, AttackerViewApproximatesDefenderView) {
   // gamma(H_t, H'_t') ~ gamma(H_t', H'_t'): the approximation the paper's
   // Section VI argues from temporal load correlation.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const grid::DailyLoadTrace trace =
       grid::DailyLoadTrace::nyiso_winter_weekday();
   stats::Rng rng(4);
@@ -77,7 +77,7 @@ TEST(DailyTest, AttackerViewApproximatesDefenderView) {
 }
 
 TEST(DailyTest, RejectsEmptyGammaGrid) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const grid::DailyLoadTrace trace =
       grid::DailyLoadTrace::nyiso_winter_weekday();
   stats::Rng rng(5);
@@ -102,7 +102,7 @@ TEST(DailyEngineTest, AdvanceHourReproducesRunDailySimulationBitExact) {
   // The wrapper and 24 explicit advance_hour calls must be the same
   // computation: exact == on every record field and on the rng state
   // afterwards (the engine consumes the caller's draws identically).
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const grid::DailyLoadTrace trace =
       grid::DailyLoadTrace::nyiso_winter_weekday();
   const DailySimulationOptions opt = engine_options();

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/spa.hpp"
 #include "opf/dc_opf.hpp"
 #include "stats/rng.hpp"
@@ -19,7 +19,7 @@ struct Scenario {
 };
 
 Scenario make_scenario(double factor) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   Scenario s;
   s.h_old = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
@@ -153,7 +153,7 @@ TEST(EvaluateCandidatesTest, MatchesPerCandidateEvaluationWithSharedSeed) {
   // With the analytic detection method the only rng use is the attack
   // sample, so the batched API must reproduce per-candidate calls made
   // with identically seeded generators.
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
@@ -192,7 +192,7 @@ TEST(EvaluateCandidatesTest, MatchesPerCandidateEvaluationWithSharedSeed) {
 }
 
 TEST(EvaluateCandidatesTest, EmptyBatchAndValidation) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const linalg::Vector z0(h0.rows(), 10.0);
   EffectivenessOptions options;

@@ -16,9 +16,9 @@
 #include "estimation/bdd.hpp"
 #include "estimation/detection.hpp"
 #include "estimation/state_estimator.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/effectiveness.hpp"
 #include "mtd/selection.hpp"
 #include "opf/dc_opf.hpp"
@@ -51,7 +51,7 @@ struct Scenario {
 };
 
 Scenario make_scenario() {
-  Scenario s{grid::make_case14(), {}, {}, {}};
+  Scenario s{io::load_case("case14"), {}, {}, {}};
   s.h0 = grid::measurement_matrix(s.sys);
   linalg::Vector x = s.sys.reactances();
   for (std::size_t l : s.sys.dfacts_branches()) x[l] *= 1.3;
@@ -174,7 +174,7 @@ TEST(ParallelDeterminismTest, MultiStartBitIdentical) {
 }
 
 TEST(ParallelDeterminismTest, SelectionBitIdenticalAcrossThreadCounts) {
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const opf::DispatchResult base = opf::solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);

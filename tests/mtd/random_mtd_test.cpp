@@ -4,13 +4,13 @@
 
 #include <cmath>
 
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 
 namespace mtdgrid::mtd {
 namespace {
 
 TEST(RandomMtdTest, OnlyDfactsBranchesPerturbed) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(1);
   const linalg::Vector x0 = sys.reactances();
   const linalg::Vector x = random_reactance_perturbation(sys, x0, 0.02, rng);
@@ -23,7 +23,7 @@ TEST(RandomMtdTest, OnlyDfactsBranchesPerturbed) {
 }
 
 TEST(RandomMtdTest, PerturbationWithinRequestedFraction) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(2);
   const linalg::Vector x0 = sys.reactances();
   for (int trial = 0; trial < 50; ++trial) {
@@ -36,7 +36,7 @@ TEST(RandomMtdTest, PerturbationWithinRequestedFraction) {
 }
 
 TEST(RandomMtdTest, StaysWithinDeviceLimits) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(3);
   const linalg::Vector x0 = sys.reactances();
   for (int trial = 0; trial < 50; ++trial) {
@@ -48,7 +48,7 @@ TEST(RandomMtdTest, StaysWithinDeviceLimits) {
 }
 
 TEST(RandomMtdTest, ActuallyPerturbsSomething) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(4);
   const linalg::Vector x0 = sys.reactances();
   const linalg::Vector x = random_reactance_perturbation(sys, x0, 0.02, rng);
@@ -56,7 +56,7 @@ TEST(RandomMtdTest, ActuallyPerturbsSomething) {
 }
 
 TEST(RandomMtdTest, Reproducible) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng_a(9), rng_b(9);
   const linalg::Vector x0 = sys.reactances();
   const linalg::Vector a = random_reactance_perturbation(sys, x0, 0.02, rng_a);
@@ -65,7 +65,7 @@ TEST(RandomMtdTest, Reproducible) {
 }
 
 TEST(RandomMtdTest, ValidatesArguments) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(5);
   EXPECT_THROW(
       random_reactance_perturbation(sys, linalg::Vector(3, 0.1), 0.02, rng),

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/spa.hpp"
 #include "opf/dc_opf.hpp"
 
@@ -11,7 +11,7 @@ namespace mtdgrid::mtd {
 namespace {
 
 struct Fixture {
-  grid::PowerSystem sys = grid::make_case_ieee14();
+  grid::PowerSystem sys = io::load_case("case14");
   linalg::Matrix h_attacker;
   double base_cost = 0.0;
 

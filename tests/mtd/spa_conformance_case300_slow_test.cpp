@@ -3,14 +3,14 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 #include "mtd/spa_conformance.hpp"
 
 namespace mtdgrid::mtd {
 namespace {
 
 TEST(SpaConformanceCase300, ClosedFormMatchesSpaOnSeededCandidates) {
-  test::expect_spa_conforms(grid::make_case300(), /*seed=*/2024);
+  test::expect_spa_conforms(io::load_case("case300"), /*seed=*/2024);
 }
 
 }  // namespace

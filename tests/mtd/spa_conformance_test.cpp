@@ -10,7 +10,6 @@
 #include <cstddef>
 #include <string>
 
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
 #include "io/case_registry.hpp"
 #include "mtd/spa.hpp"
@@ -30,7 +29,7 @@ INSTANTIATE_TEST_SUITE_P(Cases, SpaConformance,
                          ::testing::Values("case14", "case57", "case118"));
 
 TEST(SpaConformanceTest, NonDfactsChangeRoutesToGammaFull) {
-  const grid::PowerSystem sys = grid::make_case57();
+  const grid::PowerSystem sys = io::load_case("case57");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   std::size_t plain = sys.num_branches();
   for (std::size_t l = 0; l < sys.num_branches() && plain == sys.num_branches();

@@ -9,8 +9,8 @@
 
 #include "attack/fdi_attack.hpp"
 #include "estimation/state_estimator.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "linalg/qr.hpp"
 #include "stats/rng.hpp"
 #include "test_util.hpp"
@@ -20,7 +20,7 @@ namespace {
 
 TEST(SpaTest, UniformScalingGivesZeroAngle) {
   // H' = (1 + eta) H: the paper's perfectly aligned case (Fig. 4a).
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   EXPECT_NEAR(spa(h, h * 1.2), 0.0, 1e-7);
   EXPECT_NEAR(smallest_angle(h, h * 1.2), 0.0, 1e-7);
@@ -45,7 +45,7 @@ TEST(SpaTest, OrthogonalComplementGivesRightAngle) {
 }
 
 TEST(SpaTest, NotOrthogonalForRealisticPerturbations) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.5;
@@ -57,7 +57,7 @@ TEST(SpaTest, SmallestAngleIsZeroForDfactsSubsetPerturbations) {
   // direction constant across all D-FACTS endpoints stays in both column
   // spaces, so the literal Definition-V.1 smallest angle is always zero
   // while the operative (largest) angle is strictly positive.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x[l] *= 1.45;
@@ -67,7 +67,7 @@ TEST(SpaTest, SmallestAngleIsZeroForDfactsSubsetPerturbations) {
 }
 
 TEST(SpaTest, SymmetricInArguments) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   x[0] *= 1.3;
@@ -78,7 +78,7 @@ TEST(SpaTest, SymmetricInArguments) {
 
 TEST(SpaTest, GrowsWithPerturbationSize) {
   // Monotone trend along a one-parameter family of perturbations.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   double prev = -1.0;
   for (double eta : {0.1, 0.2, 0.3, 0.4, 0.5}) {
@@ -91,7 +91,7 @@ TEST(SpaTest, GrowsWithPerturbationSize) {
 }
 
 TEST(SpaTest, ZeroForIdenticalMatrices) {
-  const grid::PowerSystem sys = grid::make_case_wscc9();
+  const grid::PowerSystem sys = io::load_case("wscc9");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   // acos near 1 amplifies rounding: cos(theta) = 1 - eps gives
   // theta ~ sqrt(2 eps), so ~1e-7 is the numerical floor here.
@@ -106,7 +106,7 @@ TEST(SpaTest, ResidualBoundEq7HoldsOnRandomizedPerturbations) {
   // the property that ties the SPA design metric to BDD detection power.
   stats::Rng rng(11);
   for (const grid::PowerSystem& sys :
-       {grid::make_case4(), grid::make_case14()}) {
+       {io::load_case("case4"), io::load_case("case14")}) {
     const linalg::Matrix h = grid::measurement_matrix(sys);
     for (int trial = 0; trial < 8; ++trial) {
       linalg::Vector x = sys.reactances();
@@ -135,7 +135,7 @@ TEST(SpaTest, ResidualBoundEq7IsTightForWorstCaseAttack) {
   // random attack gets within 60% of it on case4 (n = 3, so random
   // directions land close to the extremal one).
   stats::Rng rng(13);
-  const grid::PowerSystem sys = grid::make_case4();
+  const grid::PowerSystem sys = io::load_case("case4");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   linalg::Vector x = sys.reactances();
   x[0] *= 1.5;
@@ -155,7 +155,7 @@ TEST(SpaTest, ResidualBoundEq7IsTightForWorstCaseAttack) {
 }
 
 TEST(SpaTest, BoundedByRightAngle) {
-  const grid::PowerSystem sys = grid::make_case_ieee30();
+  const grid::PowerSystem sys = io::load_case("ieee30");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   stats::Rng rng(3);
   for (int trial = 0; trial < 10; ++trial) {
@@ -173,7 +173,7 @@ TEST(SpaTest, BoundedByRightAngle) {
 class SpaEvaluatorProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SpaEvaluatorProperty, IncrementalGammaMatchesReferenceOnCase14) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const SpaEvaluator eval(sys, h0);
   ASSERT_TRUE(eval.incremental());
@@ -191,7 +191,7 @@ TEST_P(SpaEvaluatorProperty, IncrementalGammaMatchesReferenceOnCase14) {
 }
 
 TEST_P(SpaEvaluatorProperty, IncrementalGammaMatchesReferenceOnCase57) {
-  const grid::PowerSystem sys = grid::make_case57();
+  const grid::PowerSystem sys = io::load_case("case57");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const SpaEvaluator eval(sys, h0);
   ASSERT_TRUE(eval.incremental());
@@ -213,7 +213,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SpaEvaluatorProperty, ::testing::Range(0, 6));
 TEST(SpaEvaluatorTest, RecognizesPerturbedReferenceMatrix) {
   // The attacker's knowledge is usually H at *perturbed* reactances (stale
   // MTD state), not the nominal ones; recovery must still work.
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   linalg::Vector x_att = sys.reactances();
   for (std::size_t l : sys.dfacts_branches()) x_att[l] *= 1.17;
   const linalg::Matrix h_att = grid::measurement_matrix(sys, x_att);
@@ -231,7 +231,7 @@ TEST(SpaEvaluatorTest, RecognizesPerturbedReferenceMatrix) {
 }
 
 TEST(SpaEvaluatorTest, UnchangedReactancesGiveZeroGamma) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const SpaEvaluator eval(sys, h0);
   EXPECT_EQ(eval.gamma(sys.reactances()), 0.0);
@@ -241,7 +241,7 @@ TEST(SpaEvaluatorTest, ArbitraryAttackerMatrixFallsBackAndStillMatches) {
   // A randomly rotated attacker matrix is NOT a measurement matrix of the
   // system: the evaluator must detect that and fall back to the cached-Q0
   // path, still matching the reference spa().
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(8);
   const linalg::Matrix h_arbitrary =
       test::random_matrix(grid::measurement_count(sys),
@@ -259,7 +259,7 @@ TEST(SpaEvaluatorTest, ArbitraryAttackerMatrixFallsBackAndStillMatches) {
 }
 
 TEST(SpaEvaluatorTest, RejectsWrongDimensions) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   EXPECT_THROW(SpaEvaluator(sys, linalg::Matrix(3, 2)),
                std::invalid_argument);
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
@@ -272,7 +272,7 @@ TEST(SpaEvaluatorTest, RejectsWrongDimensions) {
 TEST(SpaEvaluatorSparseTest, SparseConstructionEntersIncrementalMode) {
   // Sparse H from the storage-policy path: recognition runs on the CSR
   // entries and the evaluator behaves exactly like its dense twin.
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h0 = grid::measurement_matrix(sys);
   const SpaEvaluator dense_eval(sys, h0);
   const SpaEvaluator sparse_eval(sys, grid::sparse_measurement_matrix(sys));
@@ -295,7 +295,7 @@ TEST(SpaEvaluatorSparseTest, SparseConstructionEntersIncrementalMode) {
 }
 
 TEST(SpaEvaluatorSparseTest, UnrecognizedSparseMatrixFallsBack) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   // Corrupt one flow entry: no reactance vector reproduces this matrix.
   linalg::Matrix h = grid::measurement_matrix(sys);
   h(0, 0) *= 1.5;
@@ -309,7 +309,7 @@ TEST(SpaEvaluatorSparseTest, UnrecognizedSparseMatrixFallsBack) {
 }
 
 TEST(SpaEvaluatorSparseTest, RejectsWrongSparseDimensions) {
-  const grid::PowerSystem sys = grid::make_case14();
+  const grid::PowerSystem sys = io::load_case("case14");
   EXPECT_THROW(SpaEvaluator(sys, linalg::SparseMatrix(3, 2)),
                std::invalid_argument);
 }

@@ -11,11 +11,11 @@
 #include "estimation/bdd.hpp"
 #include "estimation/detection.hpp"
 #include "estimation/state_estimator.hpp"
-#include "grid/cases.hpp"
 #include "grid/measurement.hpp"
+#include "io/case_registry.hpp"
 #include "obs/prometheus.hpp"
-#include "opf/dc_opf.hpp"
 #include "obs/scope.hpp"
+#include "opf/dc_opf.hpp"
 
 namespace mtdgrid::obs {
 namespace {
@@ -169,7 +169,7 @@ TEST(MetricsTest, DispatchCountersTrackCertificateAndFlowRows) {
   // The nominal case14 merit-order fill overloads some branches: at least
   // one PTDF row and one LP round, no certificate. With every limit
   // relaxed tenfold the fill is certified at round 0: no LP, no row.
-  grid::PowerSystem sys = grid::make_case14();
+  grid::PowerSystem sys = io::load_case("case14");
   MetricsRegistry reg;
   ScopedRegistry scope(&reg);
   ASSERT_TRUE(opf::solve_dc_opf(sys).feasible);
@@ -201,7 +201,7 @@ TEST(MetricsTest, ConcurrentAddsFromPoolWorkersSumExactly) {
 // moves where the work runs. Monte-Carlo detection exercises the full
 // propagation chain (request thread -> ThreadPool::run -> workers).
 TEST(MetricsTest, DeterministicCountersAreThreadCountInvariant) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const linalg::Matrix h = grid::measurement_matrix(sys);
   const estimation::StateEstimator est(h, 1.0);
   const estimation::BadDataDetector bdd(est, 0.01);

@@ -6,8 +6,8 @@
 #include <cmath>
 #include <limits>
 
-#include "grid/cases.hpp"
 #include "grid/power_flow.hpp"
+#include "io/case_registry.hpp"
 #include "oracles/btheta_dc_opf.hpp"
 #include "stats/rng.hpp"
 
@@ -47,8 +47,8 @@ TEST(DcOpfTest, MeritOrderWhenUncongested) {
 
 TEST(DcOpfTest, GenerationBalancesLoad) {
   for (const PowerSystem& sys :
-       {grid::make_case4(), grid::make_case_ieee14(),
-        grid::make_case_ieee30(), grid::make_case_wscc9()}) {
+       {io::load_case("case4"), io::load_case("case14"),
+        io::load_case("ieee30"), io::load_case("wscc9")}) {
     const DispatchResult r = solve_dc_opf(sys);
     ASSERT_TRUE(r.feasible) << sys.name();
     EXPECT_NEAR(r.generation_mw.sum(), sys.total_load_mw(), 1e-6)
@@ -58,8 +58,8 @@ TEST(DcOpfTest, GenerationBalancesLoad) {
 
 TEST(DcOpfTest, FlowLimitsRespected) {
   for (const PowerSystem& sys :
-       {grid::make_case4(), grid::make_case_ieee14(),
-        grid::make_case_ieee30()}) {
+       {io::load_case("case4"), io::load_case("case14"),
+        io::load_case("ieee30")}) {
     const DispatchResult r = solve_dc_opf(sys);
     ASSERT_TRUE(r.feasible) << sys.name();
     for (std::size_t l = 0; l < sys.num_branches(); ++l) {
@@ -71,7 +71,7 @@ TEST(DcOpfTest, FlowLimitsRespected) {
 }
 
 TEST(DcOpfTest, GeneratorLimitsRespected) {
-  const PowerSystem sys = grid::make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   const DispatchResult r = solve_dc_opf(sys);
   ASSERT_TRUE(r.feasible);
   for (std::size_t g = 0; g < sys.num_generators(); ++g) {
@@ -146,7 +146,7 @@ TEST(DcOpfTest, SingularSusceptanceIsInfeasibleNotAThrow) {
 }
 
 TEST(DcOpfTest, FlowsConsistentWithAngles) {
-  const PowerSystem sys = grid::make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   const DispatchResult r = solve_dc_opf(sys);
   ASSERT_TRUE(r.feasible);
   const linalg::Vector recomputed =
@@ -155,7 +155,7 @@ TEST(DcOpfTest, FlowsConsistentWithAngles) {
 }
 
 TEST(DcOpfTest, DispatchCostHelperMatchesSolution) {
-  const PowerSystem sys = grid::make_case_ieee14();
+  const PowerSystem sys = io::load_case("case14");
   const DispatchResult r = solve_dc_opf(sys);
   ASSERT_TRUE(r.feasible);
   EXPECT_NEAR(dispatch_cost(sys, r.generation_mw), r.cost, 1e-8);
@@ -164,7 +164,7 @@ TEST(DcOpfTest, DispatchCostHelperMatchesSolution) {
 TEST(DcOpfTest, ReactanceChangeAffectsCostUnderCongestion) {
   // On the paper's 4-bus system a +20% perturbation on line 1 (Table III
   // Delta-x1) forces a re-dispatch with a strictly higher cost.
-  const PowerSystem sys = grid::make_case4();
+  const PowerSystem sys = io::load_case("case4");
   const double base_cost = solve_dc_opf(sys).cost;
   linalg::Vector x = sys.reactances();
   x[0] *= 1.2;
@@ -177,7 +177,7 @@ TEST(DcOpfTest, ReactanceChangeAffectsCostUnderCongestion) {
 class DcOpfLoadMonotoneProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(DcOpfLoadMonotoneProperty, CostIncreasesWithLoad) {
-  PowerSystem sys = grid::make_case_ieee14();
+  PowerSystem sys = io::load_case("case14");
   const double scale = GetParam();
   const double cost_base = solve_dc_opf(sys).cost;
   sys.scale_loads(scale);
@@ -199,7 +199,7 @@ class DispatchEvaluatorProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(DispatchEvaluatorProperty, MatchesSimplexAcrossPerturbations) {
   const PowerSystem sys =
-      GetParam() % 2 == 0 ? grid::make_case14() : grid::make_case57();
+      GetParam() % 2 == 0 ? io::load_case("case14") : io::load_case("case57");
   const DispatchEvaluator evaluator(sys);
   stats::Rng rng(500 + GetParam());
   const linalg::Vector lo = sys.reactance_lower_limits();
@@ -232,7 +232,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DispatchEvaluatorProperty,
 TEST(DispatchEvaluatorTest, FallsBackToSimplexUnderCongestion) {
   // Shrink one loaded line's limit so the merit-order dispatch violates it:
   // the evaluator must solve an LP round and still match the B-theta LP.
-  PowerSystem sys = grid::make_case14();
+  PowerSystem sys = io::load_case("case14");
   const DispatchResult base = solve_dc_opf(sys);
   ASSERT_TRUE(base.feasible);
   std::size_t busiest = 0;

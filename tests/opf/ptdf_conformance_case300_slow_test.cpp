@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 #include "opf/ptdf_conformance.hpp"
 #include "serve/daemon.hpp"
 
@@ -12,7 +12,7 @@ namespace mtdgrid::opf {
 namespace {
 
 TEST(PtdfConformanceCase300, MatchesBThetaOracleAtTroughAndPeak) {
-  const grid::PowerSystem sys = grid::make_case300();
+  const grid::PowerSystem sys = io::load_case("case300");
   test::expect_conforms(sys, serve::default_daemon_trace(sys), {4, 18},
                         /*box_keys=*/0, /*seed=*/2024);
 }

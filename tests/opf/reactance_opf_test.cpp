@@ -2,16 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include "grid/cases.hpp"
+#include "io/case_registry.hpp"
 
 namespace mtdgrid::opf {
 namespace {
 
 TEST(ReactanceOpfTest, NeverWorseThanNominalDispatch) {
   // Optimizing the D-FACTS reactances can only relieve congestion.
-  for (auto make : {grid::make_case4, grid::make_case_ieee14,
-                    grid::make_case_wscc9}) {
-    const grid::PowerSystem sys = make();
+  for (const char* name : {"case4", "case14", "wscc9"}) {
+    const grid::PowerSystem sys = io::load_case(name);
     stats::Rng rng(3);
     const DispatchResult nominal = solve_dc_opf(sys);
     const ReactanceOpfResult r = solve_reactance_opf(sys, rng);
@@ -23,7 +22,7 @@ TEST(ReactanceOpfTest, NeverWorseThanNominalDispatch) {
 TEST(ReactanceOpfTest, RelievesCongestionOnIeee14) {
   // The IEEE 14-bus case at full load is congested at nominal reactances;
   // the D-FACTS optimum is strictly cheaper.
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(4);
   const double nominal_cost = solve_dc_opf(sys).cost;
   const ReactanceOpfResult r = solve_reactance_opf(sys, rng);
@@ -32,7 +31,7 @@ TEST(ReactanceOpfTest, RelievesCongestionOnIeee14) {
 }
 
 TEST(ReactanceOpfTest, ReactancesStayWithinDfactsLimits) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(5);
   const ReactanceOpfResult r = solve_reactance_opf(sys, rng);
   ASSERT_TRUE(r.feasible);
@@ -40,7 +39,7 @@ TEST(ReactanceOpfTest, ReactancesStayWithinDfactsLimits) {
 }
 
 TEST(ReactanceOpfTest, NonDfactsBranchesUntouched) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   stats::Rng rng(6);
   const ReactanceOpfResult r = solve_reactance_opf(sys, rng);
   const linalg::Vector nominal = sys.reactances();
@@ -53,7 +52,7 @@ TEST(ReactanceOpfTest, NonDfactsBranchesUntouched) {
 }
 
 TEST(ReactanceOpfTest, ExpandDfactsReactances) {
-  const grid::PowerSystem sys = grid::make_case_ieee14();
+  const grid::PowerSystem sys = io::load_case("case14");
   const auto dfacts = sys.dfacts_branches();
   linalg::Vector dx(dfacts.size(), 0.123);
   const linalg::Vector full = expand_dfacts_reactances(sys, dx);

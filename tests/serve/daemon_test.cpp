@@ -7,8 +7,8 @@
 #include <utility>
 #include <vector>
 
-#include "grid/cases.hpp"
 #include "grid/load_trace.hpp"
+#include "io/case_registry.hpp"
 #include "obs/metrics.hpp"
 #include "serve/json.hpp"
 #include "serve_test_util.hpp"

@@ -4,8 +4,8 @@
 #include <utility>
 #include <vector>
 
-#include "grid/cases.hpp"
 #include "grid/load_trace.hpp"
+#include "io/case_registry.hpp"
 #include "serve/daemon.hpp"
 #include "serve/sharded.hpp"
 
@@ -31,7 +31,7 @@ inline DaemonOptions fast_daemon_options() {
 /// A case14 daemon on the NYISO trace with `fast_daemon_options`.
 inline std::unique_ptr<MtdDaemon> make_fast_daemon() {
   return std::make_unique<MtdDaemon>(
-      grid::make_case14(), grid::DailyLoadTrace::nyiso_winter_weekday(),
+      io::load_case("case14"), grid::DailyLoadTrace::nyiso_winter_weekday(),
       fast_daemon_options());
 }
 
@@ -52,7 +52,7 @@ inline ShardedOptions fast_sharded_options(std::size_t shards) {
 inline std::unique_ptr<ShardedDaemon> make_fast_fleet(std::size_t shards) {
   std::vector<std::pair<grid::PowerSystem, grid::DailyLoadTrace>> systems;
   for (std::size_t k = 0; k < shards; ++k)
-    systems.emplace_back(grid::make_case14(),
+    systems.emplace_back(io::load_case("case14"),
                          grid::DailyLoadTrace::nyiso_winter_weekday());
   return std::make_unique<ShardedDaemon>(std::move(systems),
                                          fast_sharded_options(shards));

@@ -73,7 +73,7 @@ TEST(ShardedDeterminismTest, ShardTranscriptIsIsolatedFromNeighbors) {
   DaemonOptions solo_options = test::fast_daemon_options();
   solo_options.seed = stats::stream_seed(solo_options.seed, 0);
   const std::unique_ptr<MtdDaemon> solo = std::make_unique<MtdDaemon>(
-      grid::make_case14(), grid::DailyLoadTrace::nyiso_winter_weekday(),
+      io::load_case("case14"), grid::DailyLoadTrace::nyiso_winter_weekday(),
       solo_options);
   std::vector<std::string> alone;
   for (const std::string& line : kScript)
