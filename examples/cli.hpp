@@ -35,12 +35,15 @@
 
 namespace mtdgrid::examples {
 
-/// Strict bounded base-10 parse: accepts exactly one unsigned integer in
-/// [lo, hi] with no trailing characters; returns false (out untouched)
-/// otherwise.
+/// Strict bounded base-10 parse: accepts exactly one non-empty run of
+/// decimal digits whose value lies in [lo, hi]; returns false (out
+/// untouched) otherwise. Signs and whitespace are rejected: `strtoull`
+/// alone would skip leading blanks and read "-1" as 2^64 - 1.
 inline bool parse_u64(const char* arg, unsigned long long lo,
                       unsigned long long hi, unsigned long long& out) {
-  if (arg == nullptr) return false;
+  if (arg == nullptr || *arg == '\0') return false;
+  for (const char* c = arg; *c != '\0'; ++c)
+    if (*c < '0' || *c > '9') return false;
   char* end = nullptr;
   errno = 0;
   const unsigned long long v = std::strtoull(arg, &end, 10);

@@ -41,6 +41,13 @@ class Matrix {
   double& operator()(std::size_t i, std::size_t j);
   double operator()(std::size_t i, std::size_t j) const;
 
+  /// The `cols()` contiguous elements of row `i` (row-major storage), for
+  /// kernels that sweep whole rows.
+  double* row_data(std::size_t i) { return data_.data() + i * cols_; }
+  const double* row_data(std::size_t i) const {
+    return data_.data() + i * cols_;
+  }
+
   // --- arithmetic --------------------------------------------------------
   Matrix& operator+=(const Matrix& rhs);
   Matrix& operator-=(const Matrix& rhs);

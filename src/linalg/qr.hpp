@@ -1,36 +1,53 @@
 #pragma once
 
+#include <vector>
+
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 
 namespace mtdgrid::linalg {
 
-/// Householder QR factorization `A = Q R` of an m x n matrix with m >= n.
+/// Householder QR factorization `A = Q [R; 0]` of an m x n matrix with
+/// m >= n.
 ///
-/// The thin factor `Q` (m x n with orthonormal columns) provides the
-/// orthonormal column-space bases needed for the principal-angle
-/// computations at the heart of the MTD design criterion.
+/// Q (m x m, orthogonal) is kept implicitly as its n Householder
+/// reflectors: `apply_qt`/`apply_q` multiply by it without forming it, and
+/// the thin factor (m x n with orthonormal columns) that the
+/// principal-angle computations of the MTD design criterion need is formed
+/// only on request.
 class QrDecomposition {
  public:
   /// Factorizes `a` (requires `a.rows() >= a.cols()`).
   explicit QrDecomposition(const Matrix& a);
 
-  /// Thin orthonormal factor: m x n, `Q^T Q = I`.
-  const Matrix& q_thin() const { return q_; }
+  /// Thin orthonormal factor: m x n, `Q^T Q = I`. Formed on each call as
+  /// `apply_q([I_n; 0])`.
+  Matrix q_thin() const;
 
   /// Upper-triangular factor: n x n.
   const Matrix& r() const { return r_; }
+
+  /// `Q^T x` for an m-row `x`: its first n rows are the coordinates of `x`
+  /// in the thin basis, the rest those in the orthogonal complement of
+  /// Col(A).
+  Matrix apply_qt(Matrix x) const;
+
+  /// `Q x` for an m-row `x`.
+  Matrix apply_q(Matrix x) const;
 
   /// Numerical rank: the number of diagonal entries of R whose magnitude
   /// exceeds `tol * max|R_ii|`.
   std::size_t rank(double tol = 1e-10) const;
 
-  /// Least-squares solution of `A x = b` via `R x = Q^T b`.
+  /// Least-squares solution of `A x = b` via `R x = (Q^T b)[0:n]`.
   /// Requires full column rank.
   Vector solve_least_squares(const Vector& b) const;
 
  private:
-  Matrix q_;
+  /// `x <- (I - 2 w_k w_k^T) x` for reflector k.
+  void reflect(std::size_t k, Matrix& x, std::vector<double>& dots) const;
+
+  Matrix w_;  // n x m: row k is the k-th unit Householder vector
   Matrix r_;
 };
 

@@ -7,12 +7,13 @@
 
 namespace mtdgrid::linalg {
 
-double& Vector::operator[](std::size_t i) {
+// Cache-line aligned for the reason given at Matrix::operator().
+[[gnu::aligned(64)]] double& Vector::operator[](std::size_t i) {
   assert(i < data_.size());
   return data_[i];
 }
 
-double Vector::operator[](std::size_t i) const {
+[[gnu::aligned(64)]] double Vector::operator[](std::size_t i) const {
   assert(i < data_.size());
   return data_[i];
 }

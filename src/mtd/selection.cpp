@@ -145,7 +145,7 @@ MtdSelectionResult select_mtd_perturbation(const grid::PowerSystem& sys,
 
   MtdSelectionResult result;
   result.reactances = opf::expand_dfacts_reactances(sys, best.x);
-  result.dispatch = opf::solve_dc_opf(sys, result.reactances);
+  result.dispatch = dispatch_eval.evaluate(result.reactances);
   result.h_mtd = grid::measurement_matrix(sys, result.reactances);
   result.spa = spa_eval.gamma(result.reactances);
   result.base_opf_cost = base_opf_cost;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <utility>
 
 #include "grid/measurement.hpp"
 #include "linalg/lu.hpp"
@@ -55,23 +56,25 @@ bool SpaEvaluator::recover_reference(const FlowEntry& flow_entry) {
 }
 
 void SpaEvaluator::build_basis(const linalg::Matrix& h0, bool recovered) {
-  if (recovered) {
-    const linalg::QrDecomposition qr(h0);
-    if (qr.rank() == h0.cols()) {
-      q0_ = qr.q_thin();
-      build_closed_form(qr.r());
-      incremental_ = true;
-      return;
-    }
+  qr0_ = linalg::QrDecomposition(h0);
+  if (qr0_.rank() < h0.cols()) {
+    // Factorize the rank-revealing basis of Col(h0) instead: the leading
+    // rank(h0) columns of its Q span Col(h0), as gamma_full needs.
+    qr0_ = linalg::QrDecomposition(linalg::orthonormal_column_basis(h0));
+    return;
   }
-  q0_ = linalg::orthonormal_basis_qr(h0);
+  if (recovered) {
+    build_closed_form();
+    incremental_ = true;
+  }
 }
 
-void SpaEvaluator::build_closed_form(const linalg::Matrix& r0) {
+void SpaEvaluator::build_closed_form() {
   // Per-D-FACTS-branch blocks of the closed form (see gamma()). Column j
   // belongs to D-FACTS branch dfacts[j]; u_l is its structure vector (+1 at
   // flow row l, -1 at the reverse row L+l, +-1 at the endpoint injection
   // rows) and a_l its reduced-incidence row (+1 at from, -1 at to).
+  const linalg::Matrix& r0 = qr0_.r();
   const std::vector<std::size_t> dfacts = sys_.dfacts_branches();
   const std::size_t m = dfacts.size();
   const std::size_t n = r0.cols();
@@ -80,32 +83,23 @@ void SpaEvaluator::build_closed_form(const linalg::Matrix& r0) {
   for (std::size_t j = 0; j < m; ++j) dfacts_slot_[dfacts[j]] = j;
   if (m == 0) return;
 
-  // P = Q0^T U through the 4 nonzero rows of each structure vector, and
-  // U_perp = U - Q0 P with one re-orthogonalization pass for stability.
-  linalg::Matrix p(n, m);
+  // With H0 = Q [R0; 0], Q^T U = [P; B]: P = Q0^T U, and the part of U
+  // outside Col(H0) is U_perp = Q [0; B]. Q is orthogonal, so U_perp and B
+  // share their triangular factor R_u, and no explicit Q0 (nor a
+  // re-orthogonalization of U - Q0 P) is needed.
+  linalg::Matrix u(grid::measurement_count(sys_), m);
   for (std::size_t j = 0; j < m; ++j) {
     const grid::Branch& br = sys_.branch(dfacts[j]);
-    const std::size_t row_f = 2 * num_branches + br.from;
-    const std::size_t row_t = 2 * num_branches + br.to;
-    for (std::size_t c = 0; c < n; ++c)
-      p(c, j) = q0_(dfacts[j], c) - q0_(num_branches + dfacts[j], c) +
-                q0_(row_f, c) - q0_(row_t, c);
+    u(dfacts[j], j) = 1.0;
+    u(num_branches + dfacts[j], j) = -1.0;
+    u(2 * num_branches + br.from, j) = 1.0;
+    u(2 * num_branches + br.to, j) = -1.0;
   }
-  linalg::Matrix u_perp = q0_ * p;
-  u_perp *= -1.0;
-  for (std::size_t j = 0; j < m; ++j) {
-    const grid::Branch& br = sys_.branch(dfacts[j]);
-    u_perp(dfacts[j], j) += 1.0;
-    u_perp(num_branches + dfacts[j], j) -= 1.0;
-    u_perp(2 * num_branches + br.from, j) += 1.0;
-    u_perp(2 * num_branches + br.to, j) -= 1.0;
-  }
-  const linalg::Matrix p2 = q0_.transpose_times(u_perp);
-  u_perp -= q0_ * p2;
-  p += p2;
-  // U_perp = Q_u R_u; Q_u never enters a singular value, only R_u does.
-  // Householder keeps Q_u orthonormal even when the columns are dependent.
-  ru_ = linalg::QrDecomposition(u_perp).r();
+  const linalg::Matrix qtu = qr0_.apply_qt(std::move(u));
+  const linalg::Matrix p = qtu.block(0, 0, n, m);
+  // B = Q_b R_u; Q_b never enters a singular value, only R_u does.
+  // Householder keeps Q_b orthonormal even when the columns are dependent.
+  ru_ = linalg::QrDecomposition(qtu.block(n, 0, qtu.rows() - n, m)).r();
 
   // Z = R0^{-T} A by forward substitution (R0^T is lower triangular).
   linalg::Matrix z(n, m);
@@ -129,18 +123,25 @@ void SpaEvaluator::build_closed_form(const linalg::Matrix& r0) {
 SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
                            const linalg::Matrix& h_attacker)
     : sys_(sys) {
+  obs::Span span("mtd.spa_build", "mtd");
   if (h_attacker.rows() != grid::measurement_count(sys_) ||
       h_attacker.cols() != sys_.num_buses() - 1)
     throw std::invalid_argument(
         "SpaEvaluator: h_attacker does not have the system's measurement "
         "dimensions");
 
+  // Verification against the sparse H(x_ref): from_dense keeps every
+  // nonzero, so an entry off the measurement structure is compared
+  // against zero.
   bool recovered = recover_reference(
       [&](std::size_t l, std::size_t c) { return h_attacker(l, c); });
   if (recovered) {
-    const linalg::Matrix rebuilt = grid::measurement_matrix(sys_, x_ref_);
+    const linalg::SparseMatrix rebuilt =
+        grid::sparse_measurement_matrix(sys_, x_ref_);
     const double scale = std::max(1.0, h_attacker.max_abs());
-    recovered = linalg::max_abs_diff(rebuilt, h_attacker) <= 1e-8 * scale;
+    recovered = linalg::max_abs_diff(
+                    rebuilt, linalg::SparseMatrix::from_dense(h_attacker)) <=
+                1e-8 * scale;
   }
   build_basis(h_attacker, recovered);
 }
@@ -148,6 +149,7 @@ SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
 SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
                            const linalg::SparseMatrix& h_attacker)
     : sys_(sys) {
+  obs::Span span("mtd.spa_build", "mtd");
   if (h_attacker.rows() != grid::measurement_count(sys_) ||
       h_attacker.cols() != sys_.num_buses() - 1)
     throw std::invalid_argument(
@@ -165,7 +167,7 @@ SpaEvaluator::SpaEvaluator(const grid::PowerSystem& sys,
     const double scale = std::max(1.0, h_attacker.max_abs());
     recovered = linalg::max_abs_diff(rebuilt, h_attacker) <= 1e-8 * scale;
   }
-  // Only the QR basis — dense by nature — materializes the full block.
+  // Only the QR — dense by nature — materializes the full block.
   build_basis(h_attacker.to_dense(), recovered);
 }
 
@@ -227,11 +229,13 @@ double SpaEvaluator::gamma(const linalg::Vector& x) const {
 
 double SpaEvaluator::gamma_full(const linalg::Matrix& h_new) const {
   obs::add(obs::Work::kSpaFullEvals);
-  if (h_new.rows() != q0_.rows())
+  if (h_new.rows() != grid::measurement_count(sys_))
     throw std::invalid_argument(
         "SpaEvaluator: candidate matrix row dimension");
   const linalg::Matrix qb = linalg::orthonormal_basis_qr(h_new);
-  const linalg::Matrix core = q0_.transpose_times(qb);
+  // Q0^T qb is the leading block of Q^T qb under the attacker's implicit Q.
+  const linalg::Matrix core =
+      qr0_.apply_qt(qb).block(0, 0, qr0_.r().rows(), qb.cols());
   const double c = std::clamp(linalg::smallest_singular_value(core), 0.0, 1.0);
   return std::acos(c);
 }

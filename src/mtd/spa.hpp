@@ -4,6 +4,7 @@
 
 #include "grid/power_system.hpp"
 #include "linalg/matrix.hpp"
+#include "linalg/qr.hpp"
 #include "linalg/sparse_matrix.hpp"
 #include "linalg/vector.hpp"
 
@@ -49,8 +50,9 @@ bool column_spaces_orthogonal(const linalg::Matrix& h_old,
 /// SVD of the full principal-angle core on every invocation. This
 /// evaluator moves all O(n^3) work to construction:
 ///
-///  * the attacker basis Q0 and triangular factor R0 come from one
-///    Householder thin QR of `h_attacker`;
+///  * one Householder QR of `h_attacker` gives the triangular factor R0
+///    and keeps the orthogonal factor Q implicit, as its reflectors: no
+///    m x n basis Q0 is formed or stored;
 ///  * when `h_attacker` is recognized as a measurement matrix of `sys`
 ///    (H = S diag(d) A_r for recovered reactances x_ref — true for every
 ///    matrix produced by `grid::measurement_matrix`), a candidate x that
@@ -65,7 +67,9 @@ bool column_spaces_orthogonal(const linalg::Matrix& h_old,
 ///  * a candidate that changes a non-D-FACTS branch, whose k x k system is
 ///    singular (an angle of exactly pi/2), or any candidate when the
 ///    attacker matrix is arbitrary, goes through `gamma_full`: rebuild
-///    H(x) and reuse the cached Q0.
+///    H(x), orthonormalize it and apply the attacker's reflectors (a
+///    rank-deficient attacker matrix is factorized through its
+///    rank-revealing basis).
 ///
 /// Immutable after construction: `gamma`/`gamma_full` are const and safe
 /// to call concurrently, so one evaluator serves every pool worker of a
@@ -79,9 +83,9 @@ class SpaEvaluator {
   /// Sparse construction path (storage-policy backbone): `h_attacker` in
   /// CSR, e.g. from `grid::sparse_measurement_matrix`. Reference-reactance
   /// recognition and its verification run on the O(L + N) stored entries
-  /// instead of the dense M x (N-1) block; only the attacker QR basis Q0
-  /// — inherently dense — is then materialized. The closed-form blocks
-  /// are shared with the dense constructor unchanged.
+  /// instead of the dense M x (N-1) block; only the attacker QR —
+  /// inherently dense — is then materialized. The closed-form blocks are
+  /// shared with the dense constructor unchanged.
   SpaEvaluator(const grid::PowerSystem& sys,
                const linalg::SparseMatrix& h_attacker);
 
@@ -90,7 +94,8 @@ class SpaEvaluator {
   /// x))`. `x` is the full length-L reactance vector, all entries > 0.
   double gamma(const linalg::Vector& x) const;
 
-  /// gamma against an explicit post-perturbation matrix (cached-Q0 path).
+  /// gamma against an explicit post-perturbation matrix (the fallback
+  /// path: Q^T of its orthonormal basis through the attacker's QR).
   double gamma_full(const linalg::Matrix& h_new) const;
 
   /// True when the closed-form rank-k path is active (h_attacker was
@@ -102,14 +107,13 @@ class SpaEvaluator {
   const linalg::Vector& reference_reactances() const { return x_ref_; }
 
  private:
-  /// Shared tail of both constructors: thin-QR factorization of `h0`, plus
-  /// the closed-form blocks when `recovered` and `h0` has full column rank
-  /// (the cached-Q0 fallback otherwise).
+  /// Shared tail of both constructors: sets qr0_ from `h0`, plus the
+  /// closed-form blocks when `recovered` and `h0` has full column rank.
   void build_basis(const linalg::Matrix& h0, bool recovered);
 
   /// The per-D-FACTS blocks of the closed form (dfacts_slot_, psi_, ru_,
-  /// yz_) from q0_ and the attacker's triangular factor `r0`.
-  void build_closed_form(const linalg::Matrix& r0);
+  /// yz_) from qr0_.
+  void build_closed_form();
 
   /// Recovers x_ref/d_ref from the forward-flow rows; `flow_entry(l, c)`
   /// reads H(l, c). Returns false when any branch yields no positive
@@ -120,7 +124,11 @@ class SpaEvaluator {
   static constexpr std::size_t kNotDfacts = static_cast<std::size_t>(-1);
 
   grid::PowerSystem sys_;       // value copy: the evaluator owns its model
-  linalg::Matrix q0_;           // orthonormal basis of Col(h_attacker)
+  // Householder QR (Q implicit) of h_attacker, or of an orthonormal basis
+  // of its column space when h_attacker is rank deficient: either way an
+  // orthonormal basis Q0 of Col(h_attacker) is the leading block of Q.
+  // Set by build_basis.
+  linalg::QrDecomposition qr0_{linalg::Matrix()};
   linalg::Vector x_ref_;        // recovered reference reactances
   linalg::Vector d_ref_;        // susceptances at x_ref
   // Closed-form blocks, one row/column per D-FACTS branch (incremental

@@ -70,6 +70,38 @@ TEST(MatrixTest, TransposeTimesMatchesExplicitTranspose) {
               1e-12);
 }
 
+TEST(MatrixTest, RowDataAddressesRowMajorStorage) {
+  Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
+  EXPECT_EQ(a.row_data(1)[2], 6.0);
+  a.row_data(0)[1] = -2.0;
+  EXPECT_EQ(a(0, 1), -2.0);
+  const Matrix& c = a;
+  EXPECT_EQ(c.row_data(1), c.row_data(0) + 3);
+}
+
+TEST(MatrixTest, ProductsAccumulateInInnerIndexOrder) {
+  // The row-pointer kernels keep the k-ascending accumulation of the
+  // textbook loops, so their results are reproducible bit for bit.
+  stats::Rng rng(5);
+  const Matrix a = test::random_matrix(6, 5, rng);
+  const Matrix b = test::random_matrix(5, 7, rng);
+  const Matrix c = test::random_matrix(6, 4, rng);
+  const Matrix ab = a * b;
+  const Matrix atc = a.transpose_times(c);
+  for (std::size_t i = 0; i < 6; ++i)
+    for (std::size_t j = 0; j < 7; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < 5; ++k) acc += a(i, k) * b(k, j);
+      EXPECT_EQ(ab(i, j), acc);
+    }
+  for (std::size_t i = 0; i < 5; ++i)
+    for (std::size_t j = 0; j < 4; ++j) {
+      double acc = 0.0;
+      for (std::size_t k = 0; k < 6; ++k) acc += a(k, i) * c(k, j);
+      EXPECT_EQ(atc(i, j), acc);
+    }
+}
+
 TEST(MatrixTest, RowAndColumnAccess) {
   Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   EXPECT_DOUBLE_EQ(a.row(1)[0], 3.0);

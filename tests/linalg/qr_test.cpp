@@ -82,6 +82,43 @@ TEST(QrTest, LeastSquaresThrowsOnRankDeficiency) {
                std::runtime_error);
 }
 
+// --- implicit Q: apply_qt / apply_q -------------------------------------
+
+TEST(QrImplicitQTest, ThinQIsApplyQOfLeadingIdentity) {
+  stats::Rng rng(11);
+  const Matrix a = test::random_matrix(9, 4, rng);
+  const QrDecomposition qr(a);
+  Matrix e(9, 4);
+  for (std::size_t j = 0; j < 4; ++j) e(j, j) = 1.0;
+  const Matrix q = qr.q_thin();
+  const Matrix applied = qr.apply_q(e);
+  ASSERT_EQ(q.rows(), applied.rows());
+  ASSERT_EQ(q.cols(), applied.cols());
+  for (std::size_t i = 0; i < q.rows(); ++i)
+    for (std::size_t j = 0; j < q.cols(); ++j)
+      EXPECT_EQ(q(i, j), applied(i, j)) << i << "," << j;
+}
+
+TEST(QrImplicitQTest, ApplyQtInvertsApplyQ) {
+  stats::Rng rng(12);
+  const Matrix a = test::random_matrix(11, 5, rng);
+  const Matrix x = test::random_matrix(11, 3, rng);
+  const QrDecomposition qr(a);
+  EXPECT_LT(max_abs_diff(qr.apply_qt(qr.apply_q(x)), x), 1e-12);
+  EXPECT_LT(max_abs_diff(qr.apply_q(qr.apply_qt(x)), x), 1e-12);
+}
+
+TEST(QrImplicitQTest, ApplyQtOfInputIsRPaddedWithZeros) {
+  stats::Rng rng(13);
+  const std::size_t m = 10;
+  const std::size_t n = 4;
+  const Matrix a = test::random_matrix(m, n, rng);
+  const QrDecomposition qr(a);
+  const Matrix qta = qr.apply_qt(a);
+  EXPECT_LT(max_abs_diff(qta.block(0, 0, n, n), qr.r()), 1e-12);
+  EXPECT_LT(qta.block(n, 0, m - n, n).max_abs(), 1e-12);
+}
+
 TEST(OrthonormalBasisTest, SpansInputAndIsOrthonormal) {
   stats::Rng rng(8);
   const Matrix a = test::random_matrix(7, 3, rng);

@@ -258,6 +258,55 @@ TEST(SpaEvaluatorTest, ArbitraryAttackerMatrixFallsBackAndStillMatches) {
               1e-10);
 }
 
+TEST(SpaEvaluatorTest, FallbackMatchesReferenceForFullRankAndRankDeficient) {
+  // gamma_full serves both non-incremental kinds of attacker matrix: a
+  // full-rank one through its own implicit Householder Q, a
+  // rank-deficient one through the QR of its rank-revealing basis.
+  const grid::PowerSystem sys = io::load_case("case14");
+  stats::Rng rng(21);
+  const linalg::Matrix full_rank =
+      test::random_matrix(grid::measurement_count(sys),
+                          sys.num_buses() - 1, rng);
+  linalg::Matrix deficient = grid::measurement_matrix(sys);
+  for (std::size_t i = 0; i < deficient.rows(); ++i)
+    deficient(i, 2) = deficient(i, 0) - 0.5 * deficient(i, 1);
+  ASSERT_LT(linalg::rank(deficient), deficient.cols());
+
+  for (const linalg::Matrix& h : {full_rank, deficient}) {
+    const SpaEvaluator eval(sys, h);
+    EXPECT_FALSE(eval.incremental());
+    for (int t = 0; t < 3; ++t) {
+      linalg::Vector x = sys.reactances();
+      for (std::size_t l : sys.dfacts_branches())
+        x[l] *= rng.uniform(0.6, 1.4);
+      const linalg::Matrix hx = grid::measurement_matrix(sys, x);
+      const double reference = spa(h, hx);
+      EXPECT_NEAR(eval.gamma_full(hx), reference, 1e-10);
+      EXPECT_NEAR(eval.gamma(x), reference, 1e-10);
+    }
+  }
+}
+
+TEST(SpaEvaluatorTest, OffStructureEntryDefeatsRecognition) {
+  // Recognition compares every dense entry against the sparse H(x_ref),
+  // including the positions H(x_ref) does not store. Normalized to
+  // max|H| = 1, the tolerance is 1e-8, so a single 1e-6 entry off the
+  // measurement structure must force the gamma_full route.
+  const grid::PowerSystem sys = io::load_case("case14");
+  linalg::Matrix h = grid::measurement_matrix(sys);
+  h *= 1.0 / h.max_abs();
+  ASSERT_TRUE(SpaEvaluator(sys, h).incremental());
+  ASSERT_EQ(h(0, sys.num_buses() - 2), 0.0);  // branch 0 ends at buses 0/1
+  h(0, sys.num_buses() - 2) = 1e-6;
+  const SpaEvaluator eval(sys, h);
+  EXPECT_FALSE(eval.incremental());
+
+  linalg::Vector x = sys.reactances();
+  x[sys.dfacts_branches()[0]] *= 1.3;
+  EXPECT_NEAR(eval.gamma(x), spa(h, grid::measurement_matrix(sys, x)),
+              1e-10);
+}
+
 TEST(SpaEvaluatorTest, RejectsWrongDimensions) {
   const grid::PowerSystem sys = io::load_case("case14");
   EXPECT_THROW(SpaEvaluator(sys, linalg::Matrix(3, 2)),
